@@ -44,9 +44,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/obs/ ./...
 
 # The engine/queue/scheduler/fabric hot-path micro-benchmarks that the
-# wake-scheduled engine work is measured by. `bench-micro` gives real
-# numbers; `bench-micro-smoke` (in ci) just proves they still compile,
-# run, and hold their 0 allocs/op pins.
+# wake-scheduled engine work is measured by, plus the flow backend's
+# network compile on fattree-512. `bench-micro` gives real numbers;
+# `bench-micro-smoke` (in ci) just proves they still compile, run, and
+# hold their 0 allocs/op pins (the compile allocates by design and has
+# no pin).
 bench-micro:
 	$(GO) test -run='^$$' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
 		-benchmem -count=3 ./internal/sim
@@ -58,6 +60,8 @@ bench-micro:
 		-benchmem -count=3 ./internal/obs/timeline
 	$(GO) test -run='^$$' -bench='BenchmarkShard' \
 		-benchmem -count=3 ./internal/shard
+	$(GO) test -run='^$$' -bench='BenchmarkNewNetwork' \
+		-benchmem -count=3 ./internal/flow
 
 bench-micro-smoke:
 	$(GO) test -run='NoAllocs' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
@@ -70,6 +74,8 @@ bench-micro-smoke:
 		-benchmem -count=1 -benchtime=100x ./internal/obs/timeline
 	$(GO) test -run='NoAllocs' -bench='BenchmarkShard' \
 		-benchmem -count=1 -benchtime=100x ./internal/shard
+	$(GO) test -run='^$$' -bench='BenchmarkNewNetwork' \
+		-benchmem -count=1 -benchtime=1x ./internal/flow
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopoParse -fuzztime=5s -run='^$$' ./internal/topo

@@ -67,99 +67,135 @@ type Network struct {
 	cap     []float64
 	injBase int
 	// paths holds the route for src*nDev+dst; src==dst entries are
-	// zero (self-sends never touch the network).
+	// zero (self-sends never touch the network). Every fwd slice is a
+	// window of one shared arena, and rev is fwd of the opposite pair.
 	paths []path
 }
 
 // NewNetwork compiles a topology graph into its analytic form. The
-// graph is validated first (via NextHops), so the same structural
+// graph is validated first (via Routes), so the same structural
 // guarantees the cycle engine builds on hold here: every device has
 // exactly one same-cluster switch attachment and every switch routes
-// to every device.
+// to every device. Paths are compiled from the routing table over node
+// IDs: a per-switch hop-segment table resolves each next hop to its
+// wire segment once, and every ordered pair is then walked once.
 func NewNetwork(g *topo.Graph, opt Options) (*Network, error) {
 	opt = opt.WithDefaults()
-	hops, err := g.NextHops()
+	r, err := g.Routes()
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{opt: opt, nDev: len(g.Devices)}
+	nDev, nSw := r.NumDevices(), r.NumSwitches()
+	n := &Network{opt: opt, nDev: nDev}
 	fb := float64(opt.FlitBytes)
 
-	type dirSeg struct {
-		id  int32
-		lat float64
-	}
-	segOf := make(map[[2]string]dirSeg, 2*len(g.Links))
-	for _, l := range g.Links {
-		segOf[[2]string{l.A, l.B}] = dirSeg{int32(len(n.cap)), float64(l.Latency)}
-		n.cap = append(n.cap, float64(l.RateAB())*fb)
-		segOf[[2]string{l.B, l.A}] = dirSeg{int32(len(n.cap)), float64(l.Latency)}
-		n.cap = append(n.cap, float64(l.RateBA())*fb)
+	// Segment 2i is link i's A->B direction, 2i+1 its B->A direction;
+	// segHead is the node a segment delivers to, so segment sg leaves
+	// segHead[sg^1].
+	nSeg := 2 * len(g.Links)
+	segHead := make([]int32, nSeg)
+	segLat := make([]float64, nSeg)
+	n.cap = make([]float64, 0, nSeg+nDev)
+	for i, l := range g.Links {
+		a, okA := r.NodeID(l.A)
+		b, okB := r.NodeID(l.B)
+		if !okA || !okB {
+			return nil, fmt.Errorf("flow: link %s-%s references an unknown node", l.A, l.B)
+		}
+		segHead[2*i], segHead[2*i+1] = b, a
+		segLat[2*i], segLat[2*i+1] = float64(l.Latency), float64(l.Latency)
+		n.cap = append(n.cap, float64(l.RateAB())*fb, float64(l.RateBA())*fb)
 	}
 	n.injBase = len(n.cap)
-	for range g.Devices {
+	for i := 0; i < nDev; i++ {
 		n.cap = append(n.cap, float64(opt.LinesPerCycle)*comm.LineBytes)
 	}
 
-	isDev := make(map[string]bool, len(g.Devices))
-	for _, d := range g.Devices {
-		isDev[d.Name] = true
+	// attachSeg[d] leaves device d toward its switch; hopSeg[s*nDev+d]
+	// leaves switch s toward its next hop to device d (-1: unresolved).
+	attachSeg := make([]int32, nDev)
+	for i := range attachSeg {
+		attachSeg[i] = -1
 	}
-	// attach[device] = the switch its single attachment link reaches
-	// (validation guarantees exactly one, on the device's own cluster).
-	attach := make(map[string]string, len(g.Devices))
-	for _, l := range g.Links {
-		switch {
-		case isDev[l.A]:
-			attach[l.A] = l.B
-		case isDev[l.B]:
-			attach[l.B] = l.A
+	hopSeg := make([]int32, nSw*nDev)
+	for i := range hopSeg {
+		hopSeg[i] = -1
+	}
+	for sg := int32(0); sg < int32(nSeg); sg++ {
+		tail, head := segHead[sg^1], segHead[sg]
+		if r.IsDevice(tail) {
+			attachSeg[tail] = sg
+			continue
+		}
+		s := r.SwitchOrdinal(tail)
+		row := hopSeg[s*nDev : (s+1)*nDev]
+		for d := range row {
+			if r.NextHop(s, d) == head {
+				row[d] = sg
+			}
 		}
 	}
 
+	// walk appends the segments from device src to device dst to the
+	// arena and returns the one-way propagation latency: each segment's
+	// link latency plus HopCycles per switch traversed.
 	hopLat := float64(opt.HopCycles)
-	walk := func(src, dst int) ([]int32, float64, error) {
-		srcName, dstName := g.Devices[src].Name, g.Devices[dst].Name
-		segs := make([]int32, 0, 4)
+	arena := make([]int32, 0, 4*nDev*nDev)
+	walk := func(src, dst int) (float64, error) {
+		srcNode, dstNode := r.DeviceNode(src), r.DeviceNode(dst)
+		sg := attachSeg[src]
+		if sg < 0 {
+			return 0, fmt.Errorf("flow: device %s has no link", r.NodeName(srcNode))
+		}
 		lat := 0.0
-		cur, next := srcName, attach[srcName]
 		for steps := 0; ; steps++ {
-			if steps > len(g.Switches)+1 {
-				return nil, 0, fmt.Errorf("flow: routing loop between %s and %s", srcName, dstName)
+			if steps > nSw+1 {
+				return 0, fmt.Errorf("flow: routing loop between %s and %s", r.NodeName(srcNode), r.NodeName(dstNode))
 			}
-			ds, ok := segOf[[2]string{cur, next}]
-			if !ok {
-				return nil, 0, fmt.Errorf("flow: no link %s-%s on the %s->%s route", cur, next, srcName, dstName)
-			}
-			segs = append(segs, ds.id)
-			lat += ds.lat
-			if next == dstName {
-				return segs, lat, nil
+			arena = append(arena, sg)
+			lat += segLat[sg]
+			cur := segHead[sg]
+			if cur == dstNode {
+				return lat, nil
 			}
 			lat += hopLat
-			nh, ok := hops[next][dstName]
-			if !ok {
-				return nil, 0, fmt.Errorf("flow: switch %s has no route to %s", next, dstName)
+			s := r.SwitchOrdinal(cur)
+			if s < 0 || r.NextHop(s, dst) < 0 {
+				return 0, fmt.Errorf("flow: switch %s has no route to %s", r.NodeName(cur), r.NodeName(dstNode))
 			}
-			cur, next = next, nh
+			if sg = hopSeg[s*nDev+dst]; sg < 0 {
+				return 0, fmt.Errorf("flow: no link %s-%s on the %s->%s route",
+					r.NodeName(cur), r.NextHopName(s, dst), r.NodeName(srcNode), r.NodeName(dstNode))
+			}
 		}
 	}
 
-	n.paths = make([]path, n.nDev*n.nDev)
-	for src := 0; src < n.nDev; src++ {
-		for dst := 0; dst < n.nDev; dst++ {
-			if src == dst {
-				continue
+	// Walk every ordered pair once, parking each one-way latency in
+	// paths[].lat; then pair each direction with its opposite, whose
+	// forward path is exactly this pair's acknowledgment path.
+	n.paths = make([]path, nDev*nDev)
+	off := make([]int32, nDev*nDev+1)
+	for src := 0; src < nDev; src++ {
+		for dst := 0; dst < nDev; dst++ {
+			i := src*nDev + dst
+			if src != dst {
+				lat, err := walk(src, dst)
+				if err != nil {
+					return nil, err
+				}
+				n.paths[i].lat = lat
 			}
-			fwd, latF, err := walk(src, dst)
-			if err != nil {
-				return nil, err
-			}
-			rev, latR, err := walk(dst, src)
-			if err != nil {
-				return nil, err
-			}
-			n.paths[src*n.nDev+dst] = path{fwd: fwd, rev: rev, lat: latF + latR}
+			off[i+1] = int32(len(arena))
+		}
+	}
+	for src := 0; src < nDev; src++ {
+		for dst := src + 1; dst < nDev; dst++ {
+			i, j := src*nDev+dst, dst*nDev+src
+			fwd := arena[off[i]:off[i+1]:off[i+1]]
+			rev := arena[off[j]:off[j+1]:off[j+1]]
+			lat := n.paths[i].lat + n.paths[j].lat
+			n.paths[i] = path{fwd: fwd, rev: rev, lat: lat}
+			n.paths[j] = path{fwd: rev, rev: fwd, lat: lat}
 		}
 	}
 	return n, nil

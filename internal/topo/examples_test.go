@@ -22,7 +22,7 @@ func TestExampleSpecs(t *testing.T) {
 			t.Errorf("%s: %v", f, err)
 			continue
 		}
-		if _, err := g.NextHops(); err != nil {
+		if _, err := g.Routes(); err != nil {
 			t.Errorf("%s: routing: %v", f, err)
 		}
 	}

@@ -48,7 +48,7 @@ func FuzzTopoParse(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("parsed graph fails validation: %v", err)
 		}
-		if _, err := g.NextHops(); err != nil {
+		if _, err := g.Routes(); err != nil {
 			t.Fatalf("parsed graph fails routing: %v", err)
 		}
 		// Routing on an accepted graph must be loop-free: every next

@@ -64,7 +64,9 @@ func (r *Routing) NextHopName(s, d int) string { return r.ix.names[r.next[s*r.nD
 // neighbor attached by the earliest-declared link, so two identical
 // graphs always route identically (the determinism guard the
 // bit-identical-stats tests rely on). Validation failures are returned
-// as errors, never panics.
+// as errors, never panics. Both backends consume this table: the cycle
+// engine installs it in its switches and the flow backend compiles its
+// paths from it.
 func (g *Graph) Routes() (*Routing, error) {
 	ix, err := g.checkedIndex()
 	if err != nil {
@@ -137,25 +139,4 @@ func (g *Graph) Routes() (*Routing, error) {
 		}
 	}
 	return r, nil
-}
-
-// NextHops is the string view of Routes — for every switch, the
-// neighbor on a shortest path to every device:
-// result[switch][device] = next-hop node name. Large-scale callers
-// (cluster.Build, the flow backend) use Routes directly; the map form
-// remains for specs, tests and external tooling.
-func (g *Graph) NextHops() (map[string]map[string]string, error) {
-	r, err := g.Routes()
-	if err != nil {
-		return nil, err
-	}
-	hops := make(map[string]map[string]string, len(g.Switches))
-	for s, sw := range g.Switches {
-		m := make(map[string]string, len(g.Devices))
-		for d, dev := range g.Devices {
-			m[dev.Name] = r.NextHopName(s, d)
-		}
-		hops[sw.Name] = m
-	}
-	return hops, nil
 }

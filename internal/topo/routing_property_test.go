@@ -69,6 +69,25 @@ func referenceNextHops(t *testing.T, g *Graph) map[string]map[string]string {
 	return hops
 }
 
+// hopMap is the string form of a graph's Routes table, in the shape
+// of the reference: hops[switch][device] = next-hop node name.
+func hopMap(t *testing.T, g *Graph) map[string]map[string]string {
+	t.Helper()
+	r, err := g.Routes()
+	if err != nil {
+		t.Fatalf("%s: Routes: %v", g.Name, err)
+	}
+	hops := make(map[string]map[string]string, len(g.Switches))
+	for s, sw := range g.Switches {
+		m := make(map[string]string, len(g.Devices))
+		for d, dev := range g.Devices {
+			m[dev.Name] = r.NextHopName(s, d)
+		}
+		hops[sw.Name] = m
+	}
+	return hops
+}
+
 // deviceDistances BFS-computes every node's hop distance to one device,
 // independently of the production index.
 func deviceDistances(g *Graph, dev string) map[string]int {
@@ -93,15 +112,12 @@ func deviceDistances(g *Graph, dev string) map[string]int {
 }
 
 // checkRoutingSound asserts the no-loop property on one graph: from
-// every switch, following NextHops toward every device strictly
+// every switch, following Routes toward every device strictly
 // decreases the hop distance each step and reaches the device in
 // exactly its shortest-path distance.
 func checkRoutingSound(t *testing.T, g *Graph) {
 	t.Helper()
-	hops, err := g.NextHops()
-	if err != nil {
-		t.Fatalf("%s: NextHops: %v", g.Name, err)
-	}
+	hops := hopMap(t, g)
 	for _, d := range g.Devices {
 		dist := deviceDistances(g, d.Name)
 		for _, s := range g.Switches {
@@ -175,11 +191,11 @@ func randomGraph(r *rand.Rand, seed int) *Graph {
 	return g
 }
 
-// TestNextHopsMatchesReference pins the indexed routing core to the
+// TestRoutesMatchesReference pins the indexed routing core to the
 // seed's per-device BFS on every preset and on a corpus of random
 // fabrics: the tables must be identical entry for entry, not merely
 // loop-free.
-func TestNextHopsMatchesReference(t *testing.T) {
+func TestRoutesMatchesReference(t *testing.T) {
 	var graphs []*Graph
 	for _, name := range Presets() {
 		g, err := Preset(name)
@@ -197,10 +213,7 @@ func TestNextHopsMatchesReference(t *testing.T) {
 		graphs = append(graphs, g)
 	}
 	for _, g := range graphs {
-		got, err := g.NextHops()
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
+		got := hopMap(t, g)
 		want := referenceNextHops(t, g)
 		if !reflect.DeepEqual(got, want) {
 			for sw, m := range want {
@@ -216,9 +229,9 @@ func TestNextHopsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNextHopsNoRoutingLoops checks the strict-decrease property on
+// TestRoutesNoRoutingLoops checks the strict-decrease property on
 // every preset and the same random corpus.
-func TestNextHopsNoRoutingLoops(t *testing.T) {
+func TestRoutesNoRoutingLoops(t *testing.T) {
 	for _, name := range Presets() {
 		g, err := Preset(name)
 		if err != nil {
@@ -233,7 +246,7 @@ func TestNextHopsNoRoutingLoops(t *testing.T) {
 }
 
 // TestScaleRoutingUnderBudget is the acceptance bound of the indexed
-// core: Validate plus NextHops on the 256-GPU fat-tree preset in under
+// core: Validate plus Routes on the 256-GPU fat-tree preset in under
 // five seconds (it runs in milliseconds; the generous bound keeps slow
 // CI hosts honest without flaking).
 func TestScaleRoutingUnderBudget(t *testing.T) {
@@ -245,12 +258,9 @@ func TestScaleRoutingUnderBudget(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	hops, err := g.NextHops()
-	if err != nil {
-		t.Fatal(err)
-	}
+	hops := hopMap(t, g)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Validate+NextHops on fattree-256 took %v, budget 5s", elapsed)
+		t.Fatalf("Validate+Routes on fattree-256 took %v, budget 5s", elapsed)
 	}
 	if len(hops) != len(g.Switches) {
 		t.Fatalf("routing covers %d switches, graph has %d", len(hops), len(g.Switches))

@@ -31,11 +31,8 @@ func backboneChain() *Graph {
 	}
 }
 
-func TestNextHopsChain(t *testing.T) {
-	hops, err := backboneChain().NextHops()
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestRoutesChain(t *testing.T) {
+	hops := hopMap(t, backboneChain())
 	for _, tc := range []struct{ sw, dev, want string }{
 		{"sw0", "gpu0", "gpu0"}, // local delivery
 		{"sw0", "gpu3", "bb0"},  // cross-cluster: into the backbone
@@ -49,17 +46,13 @@ func TestNextHopsChain(t *testing.T) {
 	}
 }
 
-func TestNextHopsRingTieBreak(t *testing.T) {
+func TestRoutesRingTieBreak(t *testing.T) {
 	// 4-cluster ring with one GPU per cluster: from sw0, gpu2 (the
 	// opposite cluster) is 2 switch hops away both ways. The stable
 	// tie-break must pick the earliest-declared link's neighbor — the
 	// ring is declared sw0-sw1, sw1-sw2, sw2-sw3, sw3-sw0, so sw0's
 	// adjacency lists sw1 before sw3.
-	g := Ring(4, 1, 8, 1, 1)
-	hops, err := g.NextHops()
-	if err != nil {
-		t.Fatal(err)
-	}
+	hops := hopMap(t, Ring(4, 1, 8, 1, 1))
 	if got := hops["sw0"]["gpu2"]; got != "sw1" {
 		t.Fatalf("tie-break picked %q, want sw1 (earliest-declared link)", got)
 	}
@@ -72,24 +65,18 @@ func TestNextHopsRingTieBreak(t *testing.T) {
 	}
 }
 
-func TestNextHopsDeterministic(t *testing.T) {
-	a, err := Ring(6, 2, 8, 1, 1).NextHops()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Ring(6, 2, 8, 1, 1).NextHops()
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestRoutesDeterministic(t *testing.T) {
+	a := hopMap(t, Ring(6, 2, 8, 1, 1))
+	b := hopMap(t, Ring(6, 2, 8, 1, 1))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical graphs routed differently")
 	}
 }
 
-func TestNextHopsRejectsInvalidGraph(t *testing.T) {
+func TestRoutesRejectsInvalidGraph(t *testing.T) {
 	g := chain()
 	g.Links = g.Links[:2] // disconnect the clusters
-	if _, err := g.NextHops(); err == nil {
+	if _, err := g.Routes(); err == nil {
 		t.Fatal("routing accepted a disconnected graph")
 	}
 }

@@ -3,7 +3,7 @@
 // bandwidth (flits/cycle) and propagation latency. A Graph can come
 // from a compact JSON spec (Parse), from a programmatic builder
 // (FrontierNode, Ring, FullyConnected, ...), or from a named preset.
-// After Validate passes, NextHops derives deterministic shortest-path
+// After Validate passes, Routes derives deterministic shortest-path
 // routing tables (BFS with stable tie-breaks) and package cluster can
 // instantiate the graph as a runnable system, placing a NetCrafter
 // controller at every cluster-boundary egress the graph identifies.

@@ -20,7 +20,7 @@ func TestBuildersProduceValidGraphs(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if _, err := g.NextHops(); err != nil {
+		if _, err := g.Routes(); err != nil {
 			t.Errorf("%s: routing: %v", name, err)
 		}
 	}
