@@ -10,10 +10,12 @@ GO ?= go
 
 .PHONY: ci fmt vet build test race bench bench-micro bench-micro-smoke \
 	fuzz-smoke topo-dot docs-check arch-dot sweep-smoke sweep-small \
-	staticcheck timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke
+	staticcheck timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke \
+	golden-tiny
 
 ci: fmt vet staticcheck build race fuzz-smoke docs-check bench-micro-smoke \
-	sweep-smoke timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke
+	sweep-smoke timeline-smoke comm-smoke flow-smoke shard-smoke scale-smoke \
+	golden-tiny
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -225,6 +227,16 @@ scale-smoke:
 		-scale tiny -topo fattree-64 > /tmp/netcrafter-scale-flow.txt
 	@grep -q 'busbw=' /tmp/netcrafter-scale-flow.txt || \
 		{ echo "scale-smoke: no bus bandwidth reported on the fat-tree"; exit 1; }
+
+# Behaviour pin: every experiment at tiny scale must reproduce the
+# committed results_tiny.txt byte for byte (about 20 s on 2 cores). A
+# change that means to move simulated results regenerates the file with
+# the same command and says why.
+golden-tiny:
+	$(GO) run ./cmd/netcrafter-bench -exp all -scale tiny -manifest off -q \
+		> /tmp/netcrafter-golden-tiny.txt
+	@diff -u results_tiny.txt /tmp/netcrafter-golden-tiny.txt || \
+		{ echo "golden-tiny: tiny sweep differs from results_tiny.txt"; exit 1; }
 
 # The committed perf trajectory: the full small-scale sweep, every
 # experiment, writing BENCH_small.json (resumable; see EXPERIMENTS.md).

@@ -44,9 +44,12 @@
 // replaying an exported trace reproduces the generator's metrics
 // exactly. -metrics, -timeline and -heatmap compose with -comm.
 //
-// -topo replaces the default 4-GPU/2-cluster fabric with a named preset
-// (see -topo-list) or a JSON topology spec file; link bandwidths then
-// come from the graph, so -inter/-intra do not apply. -dot renders the
+// Without -topo the fabric is the paper's 4-GPU/2-cluster node, its
+// link bandwidths set by -config, -intra and -inter (GB/s) and
+// converted to flits/cycle at the -flit size. -topo replaces it with a
+// named preset (see -topo-list) or a JSON topology spec file; link
+// bandwidths then come from the graph, so -inter/-intra with -topo are
+// an error. -dot renders the
 // selected topology as Graphviz dot to FILE ("-" = stdout) and exits.
 // -topo-info prints the fabric's shape — device/switch/link/cluster
 // counts, boundary links, bandwidth taper points — then builds the
@@ -76,6 +79,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -99,8 +103,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cfgSel = fs.String("config", "netcrafter", "baseline | ideal | netcrafter | sector")
 		backF  = fs.String("backend", "cycle", "simulation backend: cycle | flow (flow needs -comm; analytic, no per-flit fidelity)")
 		scale  = fs.String("scale", "small", "tiny | small | medium")
-		inter  = fs.Int("inter", 0, "override inter-cluster GB/s (ignored with -topo)")
-		intra  = fs.Int("intra", 0, "override intra-cluster GB/s (ignored with -topo)")
+		inter  = fs.Int("inter", 0, "override inter-cluster GB/s")
+		intra  = fs.Int("intra", 0, "override intra-cluster GB/s")
 		topoF  = fs.String("topo", "", "topology preset name or JSON spec file (see -topo-list)")
 		topoL  = fs.Bool("topo-list", false, "list topology presets and exit")
 		topoI  = fs.Bool("topo-info", false, "print the -topo fabric's shape (nodes, links, taper points, controllers) and exit")
@@ -147,12 +151,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	cfg, err := pickConfig(*cfgSel)
+	cfg, intraGBps, interGBps, err := pickConfig(*cfgSel)
 	if err != nil {
 		return fail(err)
 	}
 	cfg.Backend = backend
 	if *topoF != "" {
+		if *inter > 0 || *intra > 0 {
+			return fail(fmt.Errorf("-inter and -intra set the default fabric's bandwidths; a -topo fabric carries its own link rates"))
+		}
 		g, err := netcrafter.LoadTopology(*topoF)
 		if err != nil {
 			return fail(err)
@@ -160,13 +167,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cfg = cfg.WithTopology(g)
 	}
 	if *topoI {
-		if cfg.Topo == nil {
+		if *topoF == "" {
 			return fail(fmt.Errorf("-topo-info needs -topo"))
 		}
 		return runTopoInfo(cfg, stdout, stderr)
 	}
 	if *dotF != "" {
-		if cfg.Topo == nil {
+		if *topoF == "" {
 			return fail(fmt.Errorf("-dot needs -topo"))
 		}
 		w, closeW, err := openOut(*dotF, stdout)
@@ -181,18 +188,23 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *inter > 0 {
-		cfg.InterGBps = *inter
-	}
-	if *intra > 0 {
-		cfg.IntraGBps = *intra
-	}
 	if *pool >= 0 {
 		cfg.NetCrafter.PoolingCycles = netcrafter.Cycle(*pool)
 	}
 	if *flitSz > 0 {
 		cfg.NetCrafter.FlitBytes = *flitSz
 		cfg.GPU.FlitBytes = *flitSz
+	}
+	if *topoF == "" {
+		// The default fabric is the paper's 4-GPU/2-cluster node at the
+		// selected bandwidths, converted at the selected flit size.
+		if *inter > 0 {
+			interGBps = *inter
+		}
+		if *intra > 0 {
+			intraGBps = *intra
+		}
+		cfg = cfg.WithTopology(netcrafter.PaperTopology(4, 2, intraGBps, interGBps, cfg.NetCrafter.FlitBytes))
 	}
 	cfg.Seed = *seed
 	if *prof {
@@ -224,7 +236,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return runCommMode(cfg, commFlags{
 			prog: *commF, scale: *scale, bytes: *commB, qps: *qps,
 			requests: *reqs, seed: *seed, export: *commX, replay: *commR,
-			metrics: *metF, timeline: *tlF, heatmap: *heat,
+			out: outputs{metrics: *metF, timeline: *tlF, heatmap: *heat},
 		}, stdout, stderr)
 	}
 
@@ -244,57 +256,24 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	// Open every output before simulating: an unwritable path must fail
 	// now, not after the run.
-	var rec *netcrafter.TraceRecorder
-	var closeTrace = noClose
-	if *traceF != "" {
-		w, closeW, err := openOut(*traceF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		rec, closeTrace = netcrafter.NewTraceRecorder(w), closeW
-	}
-	var reg *netcrafter.MetricsRegistry
-	var metOut io.Writer
-	var closeMet = noClose
-	if *metF != "" {
-		metOut, closeMet, err = openOut(*metF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		reg = netcrafter.NewMetricsRegistry()
-	}
-	var spans *netcrafter.SpanRecorder
-	var closeSpans = noClose
-	if *spansF != "" {
-		w, closeW, err := openOut(*spansF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		spans, closeSpans = netcrafter.NewSpanRecorder(w), closeW
-	}
-	var tl *netcrafter.Timeline
-	var tlOut io.Writer
-	var closeTl = noClose
-	if *tlF != "" {
-		tlOut, closeTl, err = openOut(*tlF, stdout)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if *tlF != "" || *heat {
-		tl = netcrafter.NewTimeline(0)
+	out := outputs{trace: *traceF, spans: *spansF, metrics: *metF, timeline: *tlF, heatmap: *heat}
+	if err := out.open(stdout); err != nil {
+		return fail(err)
 	}
 
 	for _, name := range names {
 		var res *netcrafter.Result
 		var err error
-		if rec != nil || reg != nil || spans != nil || tl != nil || *inFlt {
-			sys := netcrafter.NewSystem(cfg)
-			sys.AttachTrace(rec)
-			sys.AttachObs(reg, spans, tl)
+		if out.attached() || *inFlt {
+			sys, berr := netcrafter.BuildSystem(cfg)
+			if berr != nil {
+				return fail(berr)
+			}
+			sys.AttachTrace(out.rec)
+			sys.AttachObs(out.reg, out.spanRec, out.tl)
 			res, err = netcrafter.RunOnSystem(sys, name, sc, 500_000_000)
-			if tl != nil {
-				tl.Finish(sys.Engine.Now())
+			if out.tl != nil {
+				out.tl.Finish(sys.Engine.Now())
 			}
 			if *inFlt {
 				if err != nil {
@@ -321,55 +300,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-
-	if rec != nil {
-		if err := rec.Flush(); err != nil {
-			return fail(err)
-		}
-		if err := closeTrace(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "trace: %d events written to %s\n", rec.Events(), *traceF)
-	}
-	if spans != nil {
-		if err := spans.Flush(); err != nil {
-			return fail(err)
-		}
-		if err := closeSpans(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "\nspans: %d recorded (%s)\n%s", spans.Spans(), *spansF, spans.Breakdown().Table())
-	}
-	if reg != nil {
-		if err := reg.WriteProm(metOut); err != nil {
-			return fail(err)
-		}
-		if err := closeMet(); err != nil {
-			return fail(err)
-		}
-		if *metF != "-" {
-			fmt.Fprintf(stdout, "metrics: snapshot written to %s\n", *metF)
-		}
-	}
-	if tl != nil {
-		if *tlF != "" {
-			if err := tl.WriteTrace(tlOut); err != nil {
-				return fail(err)
-			}
-			if err := closeTl(); err != nil {
-				return fail(err)
-			}
-			if *tlF != "-" {
-				fmt.Fprintf(stdout, "timeline: %d events written to %s (open in Perfetto / chrome://tracing)\n",
-					tl.Events(), *tlF)
-			}
-		}
-		if *heat {
-			fmt.Fprintln(stdout)
-			if err := tl.WriteHeatmap(stdout, 0); err != nil {
-				return fail(err)
-			}
-		}
+	if err := out.finish(stdout); err != nil {
+		return fail(err)
 	}
 	return 0
 }
@@ -432,15 +364,111 @@ func openOut(path string, stdout io.Writer) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
-// commFlags bundles the -comm* flag values for runCommMode.
+// outputs are a run's observability sinks, named by their flag
+// values ("" = off, "-" = stdout). open creates every output file
+// before the simulation starts, so an unwritable path fails at once
+// instead of after the run; finish writes and closes them afterwards.
+type outputs struct {
+	trace, spans, metrics, timeline string
+	heatmap                         bool
+
+	rec     *netcrafter.TraceRecorder
+	spanRec *netcrafter.SpanRecorder
+	reg     *netcrafter.MetricsRegistry
+	tl      *netcrafter.Timeline
+	metOut  io.Writer
+	tlOut   io.Writer
+	// closeTrace..closeTl close the opened files (noClose for stdout).
+	closeTrace, closeSpans, closeMet, closeTl func() error
+}
+
+// open creates the sinks and opens their files.
+func (o *outputs) open(stdout io.Writer) error {
+	var err error
+	if o.trace != "" {
+		var w io.Writer
+		if w, o.closeTrace, err = openOut(o.trace, stdout); err != nil {
+			return err
+		}
+		o.rec = netcrafter.NewTraceRecorder(w)
+	}
+	if o.metrics != "" {
+		if o.metOut, o.closeMet, err = openOut(o.metrics, stdout); err != nil {
+			return err
+		}
+		o.reg = netcrafter.NewMetricsRegistry()
+	}
+	if o.spans != "" {
+		var w io.Writer
+		if w, o.closeSpans, err = openOut(o.spans, stdout); err != nil {
+			return err
+		}
+		o.spanRec = netcrafter.NewSpanRecorder(w)
+	}
+	if o.timeline != "" {
+		if o.tlOut, o.closeTl, err = openOut(o.timeline, stdout); err != nil {
+			return err
+		}
+	}
+	if o.timeline != "" || o.heatmap {
+		o.tl = netcrafter.NewTimeline(0)
+	}
+	return nil
+}
+
+// attached reports whether any sink needs a built system to attach to.
+func (o *outputs) attached() bool {
+	return o.rec != nil || o.reg != nil || o.spanRec != nil || o.tl != nil
+}
+
+// finish flushes every sink to its output, closes the files, and
+// prints a summary line for each.
+func (o *outputs) finish(stdout io.Writer) error {
+	if o.rec != nil {
+		if err := errors.Join(o.rec.Flush(), o.closeTrace()); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trace: %d events written to %s\n", o.rec.Events(), o.trace)
+	}
+	if o.spanRec != nil {
+		if err := errors.Join(o.spanRec.Flush(), o.closeSpans()); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nspans: %d recorded (%s)\n%s", o.spanRec.Spans(), o.spans, o.spanRec.Breakdown().Table())
+	}
+	if o.reg != nil {
+		if err := errors.Join(o.reg.WriteProm(o.metOut), o.closeMet()); err != nil {
+			return err
+		}
+		if o.metrics != "-" {
+			fmt.Fprintf(stdout, "metrics: snapshot written to %s\n", o.metrics)
+		}
+	}
+	if o.timeline != "" {
+		if err := errors.Join(o.tl.WriteTrace(o.tlOut), o.closeTl()); err != nil {
+			return err
+		}
+		if o.timeline != "-" {
+			fmt.Fprintf(stdout, "timeline: %d events written to %s (open in Perfetto / chrome://tracing)\n",
+				o.tl.Events(), o.timeline)
+		}
+	}
+	if o.heatmap {
+		fmt.Fprintln(stdout)
+		return o.tl.WriteHeatmap(stdout, 0)
+	}
+	return nil
+}
+
+// commFlags bundles the -comm* flag values for runCommMode; out holds
+// the -metrics/-timeline/-heatmap outputs.
 type commFlags struct {
-	prog, scale       string
-	bytes, requests   int
-	qps               float64
-	seed              uint64
-	export, replay    string
-	metrics, timeline string
-	heatmap           bool
+	prog, scale     string
+	bytes, requests int
+	qps             float64
+	seed            uint64
+	export, replay  string
+	out             outputs
 }
 
 // pickCommScale maps the -scale preset onto a communication scale
@@ -472,27 +500,20 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 		return 1
 	}
 	flowBackend := cfg.Backend.Norm() == netcrafter.BackendFlow
-	if flowBackend && (cf.metrics != "" || cf.timeline != "" || cf.heatmap) {
+	out := &cf.out
+	if flowBackend && (out.metrics != "" || out.timeline != "" || out.heatmap) {
 		return fail(fmt.Errorf("-metrics, -timeline and -heatmap instrument the ticked system; they need -backend cycle"))
 	}
 
-	// The flow backend never builds a system — it only needs the GPU
-	// count off the resolved topology to size generated plans.
+	// The flow backend never builds a system: it solves the plan on
+	// the topology itself.
 	var err error
 	var sys *netcrafter.System
-	var nGPUs int
-	if flowBackend {
-		g, gerr := cfg.Graph()
-		if gerr != nil {
-			return fail(gerr)
-		}
-		nGPUs = len(g.Devices)
-	} else {
+	if !flowBackend {
 		sys, err = netcrafter.BuildSystem(cfg)
 		if err != nil {
 			return fail(err)
 		}
-		nGPUs = len(sys.GPUs)
 	}
 
 	var plan *netcrafter.CommPlan
@@ -511,7 +532,7 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 		if err != nil {
 			return fail(err)
 		}
-		sc.GPUs = nGPUs
+		sc.GPUs = len(cfg.Topo.Devices)
 		sc.Seed = cf.seed
 		if cf.bytes > 0 {
 			sc.Bytes = cf.bytes
@@ -545,30 +566,11 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 	}
 
 	// Open outputs before simulating, as the workload path does.
-	var reg *netcrafter.MetricsRegistry
-	var metOut io.Writer
-	var closeMet = noClose
-	if cf.metrics != "" {
-		metOut, closeMet, err = openOut(cf.metrics, stdout)
-		if err != nil {
-			return fail(err)
-		}
-		reg = netcrafter.NewMetricsRegistry()
+	if err := out.open(stdout); err != nil {
+		return fail(err)
 	}
-	var tl *netcrafter.Timeline
-	var tlOut io.Writer
-	var closeTl = noClose
-	if cf.timeline != "" {
-		tlOut, closeTl, err = openOut(cf.timeline, stdout)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if cf.timeline != "" || cf.heatmap {
-		tl = netcrafter.NewTimeline(0)
-	}
-	if reg != nil || tl != nil {
-		sys.AttachObs(reg, nil, tl)
+	if out.attached() {
+		sys.AttachObs(out.reg, nil, out.tl)
 	}
 
 	var res *netcrafter.CommResult
@@ -576,8 +578,8 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 		res, err = netcrafter.RunCommPlanWith(cfg, plan, netcrafter.CommOptions{}, 500_000_000)
 	} else {
 		res, err = netcrafter.RunCommPlan(sys, plan, netcrafter.CommOptions{}, 500_000_000)
-		if tl != nil {
-			tl.Finish(sys.Engine.Now())
+		if out.tl != nil {
+			out.tl.Finish(sys.Engine.Now())
 		}
 	}
 	if err != nil {
@@ -589,54 +591,31 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 		fmt.Fprint(stdout, tbl)
 	}
 
-	if reg != nil {
-		if err := reg.WriteProm(metOut); err != nil {
-			return fail(err)
-		}
-		if err := closeMet(); err != nil {
-			return fail(err)
-		}
-		if cf.metrics != "-" {
-			fmt.Fprintf(stdout, "metrics: snapshot written to %s\n", cf.metrics)
-		}
-	}
-	if tl != nil {
-		if cf.timeline != "" {
-			if err := tl.WriteTrace(tlOut); err != nil {
-				return fail(err)
-			}
-			if err := closeTl(); err != nil {
-				return fail(err)
-			}
-			if cf.timeline != "-" {
-				fmt.Fprintf(stdout, "timeline: %d events written to %s (open in Perfetto / chrome://tracing)\n",
-					tl.Events(), cf.timeline)
-			}
-		}
-		if cf.heatmap {
-			fmt.Fprintln(stdout)
-			if err := tl.WriteHeatmap(stdout, 0); err != nil {
-				return fail(err)
-			}
-		}
+	if err := out.finish(stdout); err != nil {
+		return fail(err)
 	}
 	return 0
 }
 
-func pickConfig(sel string) (netcrafter.Config, error) {
+// pickConfig returns the named configuration and the intra- and
+// inter-cluster GB/s of its default fabric (Table 2: 128 and 16; the
+// ideal system runs every link at 128).
+func pickConfig(sel string) (cfg netcrafter.Config, intraGBps, interGBps int, err error) {
+	intraGBps, interGBps = 128, 16
 	switch sel {
 	case "baseline":
-		return netcrafter.Baseline(), nil
+		cfg = netcrafter.Baseline()
 	case "ideal":
-		return netcrafter.Ideal(), nil
+		cfg, interGBps = netcrafter.Ideal(), intraGBps
 	case "netcrafter":
-		return netcrafter.WithNetCrafter(), nil
+		cfg = netcrafter.WithNetCrafter()
 	case "sector":
-		c := netcrafter.Baseline()
-		c.GPU.FetchMode = netcrafter.FetchSector
-		return c, nil
+		cfg = netcrafter.Baseline()
+		cfg.GPU.FetchMode = netcrafter.FetchSector
+	default:
+		err = fmt.Errorf("unknown -config %q", sel)
 	}
-	return netcrafter.Config{}, fmt.Errorf("unknown -config %q", sel)
+	return cfg, intraGBps, interGBps, err
 }
 
 func pickScale(sel string) (netcrafter.Scale, error) {

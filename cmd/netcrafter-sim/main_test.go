@@ -16,6 +16,17 @@ import (
 func TestRunFlagMatrix(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-workload", "GUPS", "-scale", "tiny"}
+	// A valid graph the system builder must refuse: both GPUs sit in
+	// one cluster.
+	oneCluster := filepath.Join(dir, "one.json")
+	if err := os.WriteFile(oneCluster, []byte(`{
+	  "name": "one",
+	  "devices": [{"name": "gpu0", "cluster": 0}, {"name": "gpu1", "cluster": 0}],
+	  "switches": [{"name": "sw0", "cluster": 0}],
+	  "links": [{"a": "gpu0", "b": "sw0", "bw": 8}, {"a": "gpu1", "b": "sw0", "bw": 8}]
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		args    []string
@@ -83,10 +94,27 @@ func TestRunFlagMatrix(t *testing.T) {
 			wantErr: []string{"-topo-info needs -topo"}},
 		{name: "topo preset did-you-mean", args: []string{"-topo", "fattree-65", "-topo-info"}, exit: 1,
 			wantErr: []string{`did you mean "fattree-64"?`}},
+		{name: "topo one cluster", args: []string{"-topo", oneCluster, "-scale", "tiny"}, exit: 1,
+			wantErr: []string{"needs at least two clusters"}},
+		{name: "topo one cluster inflight dump", args: []string{"-topo", oneCluster, "-scale", "tiny", "-inflight-dump"}, exit: 1,
+			wantErr: []string{"needs at least two clusters"}},
+		{name: "topo one cluster comm", args: []string{"-topo", oneCluster, "-scale", "tiny", "-comm", "ring-allreduce"}, exit: 1,
+			wantErr: []string{"needs at least two clusters"}},
+		{name: "topo one cluster flow", args: []string{"-topo", oneCluster, "-scale", "tiny", "-backend", "flow", "-comm", "ring-allreduce"}, exit: 1,
+			wantErr: []string{"needs at least two clusters"}},
+		{name: "topo with inter", args: []string{"-topo", "frontier-8x4", "-inter", "1", "-scale", "tiny"}, exit: 1,
+			wantErr: []string{"-inter", "-intra", "-topo"}},
+		{name: "topo with intra", args: []string{"-topo", "frontier-8x4", "-intra", "64", "-scale", "tiny"}, exit: 1,
+			wantErr: []string{"-inter", "-intra", "-topo"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errb bytes.Buffer
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("run(%v) panicked: %v", tc.args, r)
+				}
+			}()
 			if code := run(tc.args, &out, &errb); code != tc.exit {
 				t.Fatalf("run(%v) = %d, want %d\nstdout:\n%s\nstderr:\n%s",
 					tc.args, code, tc.exit, out.String(), errb.String())
@@ -100,6 +128,9 @@ func TestRunFlagMatrix(t *testing.T) {
 				if !strings.Contains(errb.String(), want) {
 					t.Errorf("stderr missing %q:\n%s", want, errb.String())
 				}
+			}
+			if strings.Contains(errb.String(), "panic") {
+				t.Errorf("stderr reports a panic:\n%s", errb.String())
 			}
 		})
 	}

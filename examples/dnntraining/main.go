@@ -33,8 +33,7 @@ func main() {
 
 	// A what-if: would a faster inter-cluster link help more than
 	// NetCrafter? Compare against a hardware upgrade to 32 GB/s.
-	fast := netcrafter.Baseline()
-	fast.InterGBps = 32
+	fast := netcrafter.Baseline().WithTopology(netcrafter.PaperTopology(4, 2, 128, 32, 16))
 	base, err := netcrafter.Run(netcrafter.Baseline(), "VGG16", sc)
 	if err != nil {
 		log.Fatal(err)

@@ -21,10 +21,10 @@ func main() {
 	fmt.Printf("%10s %8s %12s %12s %9s %9s\n",
 		"clusters", "gpus", "baseline", "netcrafter", "speedup", "link-busy")
 	for _, clusters := range []int{2, 4} {
-		base := netcrafter.Baseline()
-		base.GPUs = clusters * base.GPUsPerCluster
-		nc := netcrafter.WithNetCrafter()
-		nc.GPUs = clusters * nc.GPUsPerCluster
+		gpus := 2 * clusters
+		node := netcrafter.PaperTopology(gpus, clusters, 128, 16, 16)
+		base := netcrafter.Baseline().WithTopology(node)
+		nc := netcrafter.WithNetCrafter().WithTopology(node)
 
 		rb, err := netcrafter.Run(base, wl, sc)
 		if err != nil {
@@ -35,7 +35,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%10d %8d %12d %12d %8.2fx %8.0f%%\n",
-			clusters, base.GPUs, rb.Cycles, rn.Cycles,
+			clusters, gpus, rb.Cycles, rn.Cycles,
 			rn.Speedup(rb), 100*rb.InterUtilization)
 	}
 

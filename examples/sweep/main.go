@@ -43,10 +43,9 @@ func main() {
 	fmt.Println("\nbandwidth sensitivity (full NetCrafter):")
 	fmt.Printf("%12s %12s\n", "intra:inter", "speedup")
 	for _, bw := range [][2]int{{128, 16}, {128, 32}, {128, 64}, {256, 32}, {512, 64}, {32, 32}} {
-		b := netcrafter.Baseline()
-		b.IntraGBps, b.InterGBps = bw[0], bw[1]
-		n := netcrafter.WithNetCrafter()
-		n.IntraGBps, n.InterGBps = bw[0], bw[1]
+		node := netcrafter.PaperTopology(4, 2, bw[0], bw[1], 16)
+		b := netcrafter.Baseline().WithTopology(node)
+		n := netcrafter.WithNetCrafter().WithTopology(node)
 		rb := run(b, wl, sc)
 		rn := run(n, wl, sc)
 		fmt.Printf("%9d:%-3d %11.2fx\n", bw[0], bw[1], rn.Speedup(rb))

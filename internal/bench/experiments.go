@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"fmt"
+
 	"netcrafter/internal/cluster"
 	"netcrafter/internal/core"
+	"netcrafter/internal/flit"
 	"netcrafter/internal/gpu"
 	"netcrafter/internal/sim"
+	"netcrafter/internal/topo"
 )
 
 // Configuration shorthands used across experiments.
@@ -44,10 +48,19 @@ func sectorCache(granularity int) cluster.Config {
 	return c
 }
 
+// paperNode is the paper's node (2 GPUs per cluster) at the given
+// cluster count, link bandwidths in GB/s and flit size.
+func paperNode(clusters, intraGBps, interGBps, flitBytes int) *topo.Graph {
+	gpus := clusters * cluster.PaperGPUs / cluster.PaperClusters
+	return cluster.PaperNode(gpus, clusters, intraGBps, interGBps, flitBytes)
+}
+
+// withFlitSize switches c to bytes-sized flits and rebuilds the paper
+// node at that size, so each link keeps its GB/s.
 func withFlitSize(c cluster.Config, bytes int) cluster.Config {
 	c.NetCrafter.FlitBytes = bytes
 	c.GPU.FlitBytes = bytes
-	return c
+	return c.WithTopology(paperNode(cluster.PaperClusters, cluster.PaperIntraGBps, cluster.PaperInterGBps, bytes))
 }
 
 func init() {
@@ -377,41 +390,36 @@ func fig21(opt Options) (*Report, error) {
 	return rep, nil
 }
 
+// fig22Cases are the intra:inter GB/s pairs Fig 22 sweeps.
+var fig22Cases = [][2]int{{128, 16}, {128, 32}, {128, 64}, {256, 32}, {512, 64}, {32, 32}}
+
+// fig22Configs returns the baseline and NetCrafter configurations of
+// every Fig 22 case, in that order, on the paper node at the case's
+// bandwidths.
+func fig22Configs() []cluster.Config {
+	cfgs := make([]cluster.Config, 0, 2*len(fig22Cases))
+	for _, cs := range fig22Cases {
+		g := paperNode(cluster.PaperClusters, cs[0], cs[1], flit.DefaultFlitBytes)
+		cfgs = append(cfgs, cluster.Baseline().WithTopology(g), cluster.WithNetCrafter().WithTopology(g))
+	}
+	return cfgs
+}
+
 func fig22(opt Options) (*Report, error) {
-	type bwCase struct {
-		label        string
-		intra, inter int
-	}
-	cases := []bwCase{
-		{"128:16", 128, 16},
-		{"128:32", 128, 32},
-		{"128:64", 128, 64},
-		{"256:32", 256, 32},
-		{"512:64", 512, 64},
-		{"32:32", 32, 32},
-	}
 	rep := &Report{ID: "fig22", Title: "NetCrafter speedup across bandwidth configurations (GMEAN over workloads)",
 		Columns: []string{"netcrafter-speedup"},
 		Notes:   "gains persist across every ratio, largest when the network is most constrained"}
-	cfgs := make([]cluster.Config, 0, 2*len(cases))
-	for _, cs := range cases {
-		base := cluster.Baseline()
-		base.IntraGBps, base.InterGBps = cs.intra, cs.inter
-		nc := cluster.WithNetCrafter()
-		nc.IntraGBps, nc.InterGBps = cs.intra, cs.inter
-		cfgs = append(cfgs, base, nc)
-	}
-	rs, err := runSuites(opt, cfgs...)
+	rs, err := runSuites(opt, fig22Configs()...)
 	if err != nil {
 		return nil, err
 	}
-	for i, cs := range cases {
+	for i, cs := range fig22Cases {
 		bres, nres := rs[2*i], rs[2*i+1]
 		sp := make([]float64, 0, len(opt.Workloads))
 		for _, w := range opt.Workloads {
 			sp = append(sp, speedup(bres[w], nres[w]))
 		}
-		rep.AddRow(cs.label, geoMean(sp))
+		rep.AddRow(fmt.Sprintf("%d:%d", cs[0], cs[1]), geoMean(sp))
 	}
 	return rep, nil
 }

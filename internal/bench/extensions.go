@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netcrafter/internal/cluster"
+	"netcrafter/internal/flit"
 	"netcrafter/internal/lasp"
 )
 
@@ -41,26 +42,32 @@ func extTrimWrites(opt Options) (*Report, error) {
 	return rep, nil
 }
 
+// extScalingCounts are the cluster counts ext-scaling compares.
+var extScalingCounts = []int{2, 4}
+
+// extScalingConfigs returns the baseline and NetCrafter configurations
+// of every ext-scaling count, in that order, on the paper node with 2
+// GPUs per cluster.
+func extScalingConfigs() []cluster.Config {
+	cfgs := make([]cluster.Config, 0, 2*len(extScalingCounts))
+	for _, clusters := range extScalingCounts {
+		g := paperNode(clusters, cluster.PaperIntraGBps, cluster.PaperInterGBps, flit.DefaultFlitBytes)
+		cfgs = append(cfgs, cluster.Baseline().WithTopology(g), cluster.WithNetCrafter().WithTopology(g))
+	}
+	return cfgs
+}
+
 // extScaling runs baseline vs NetCrafter at 2 and 4 clusters (4 and 8
 // GPUs) to check the mechanisms keep paying as the hierarchy grows.
 func extScaling(opt Options) (*Report, error) {
 	rep := &Report{ID: "ext-scaling", Title: "NetCrafter speedup by cluster count (GMEAN over workloads)",
 		Columns: []string{"netcrafter-speedup", "baseline-util"},
 		Notes:   "extension: gains persist (or grow) as more clusters share the slow tier"}
-	counts := []int{2, 4}
-	cfgs := make([]cluster.Config, 0, 2*len(counts))
-	for _, clusters := range counts {
-		base := cluster.Baseline()
-		base.GPUs = clusters * base.GPUsPerCluster
-		nc := cluster.WithNetCrafter()
-		nc.GPUs = clusters * nc.GPUsPerCluster
-		cfgs = append(cfgs, base, nc)
-	}
-	rs, err := runSuites(opt, cfgs...)
+	rs, err := runSuites(opt, extScalingConfigs()...)
 	if err != nil {
 		return nil, err
 	}
-	for i, clusters := range counts {
+	for i, clusters := range extScalingCounts {
 		bres, nres := rs[2*i], rs[2*i+1]
 		sp := make([]float64, 0, len(opt.Workloads))
 		util := 0.0

@@ -49,7 +49,10 @@ func ObservedRun(cfg cluster.Config, name string, opt Options) (*cluster.Result,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sys := cluster.New(cfg)
+	sys, err := cluster.Build(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	reg := obs.NewRegistry()
 	rec := obs.NewSpanRecorder(nil)
 	sys.AttachObs(reg, rec, nil)

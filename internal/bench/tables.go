@@ -38,8 +38,17 @@ func table1(opt Options) (*Report, error) {
 func table2(opt Options) (*Report, error) {
 	c := cluster.Baseline()
 	g := c.GPU.WithDefaults()
+	gpus := len(c.Topo.Devices)
+	var intraGBps, interGBps int
+	for _, l := range c.Topo.Links {
+		if gbps := l.BW * c.NetCrafter.FlitBytes; c.Topo.Boundary(l) {
+			interGBps = gbps
+		} else {
+			intraGBps = gbps
+		}
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "GPUs=%d clusters=%d intra=%dGB/s inter=%dGB/s | ", c.GPUs, c.GPUs/c.GPUsPerCluster, c.IntraGBps, c.InterGBps)
+	fmt.Fprintf(&b, "GPUs=%d clusters=%d intra=%dGB/s inter=%dGB/s | ", gpus, c.Topo.NumClusters(), intraGBps, interGBps)
 	fmt.Fprintf(&b, "CU=%d/GPU waveslots=%d | L1=%dKB %d-way %dB-sector %d MSHR, %dcy | ",
 		g.NumCUs, g.WavefrontSlots, g.L1.SizeBytes>>10, g.L1.Ways, g.L1.SectorBytes, g.L1.MSHRs, g.L1Latency)
 	fmt.Fprintf(&b, "L2=%d banks x %dKB %d-way, %dcy | DRAM %dB/cy %dcy | ",
@@ -50,9 +59,9 @@ func table2(opt Options) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Baseline configuration",
 		Columns: []string{"value"},
 		Notes:   b.String()}
-	rep.AddRow("gpus", float64(c.GPUs))
-	rep.AddRow("intraGBps", float64(c.IntraGBps))
-	rep.AddRow("interGBps", float64(c.InterGBps))
+	rep.AddRow("gpus", float64(gpus))
+	rep.AddRow("intraGBps", float64(intraGBps))
+	rep.AddRow("interGBps", float64(interGBps))
 	rep.AddRow("cusPerGPU", float64(g.NumCUs))
 	rep.AddRow("l2tlb", float64(g.L2TLB.Entries))
 	rep.AddRow("walkers", float64(g.GMMU.Walkers))

@@ -238,12 +238,8 @@ func ReadTrajectory(r io.Reader) (*Trajectory, error) {
 
 // topoFingerprint hashes the default fabric's DOT rendering.
 func topoFingerprint() string {
-	g, err := cluster.Baseline().Graph()
-	if err != nil {
-		return "invalid"
-	}
 	h := fnv.New64a()
-	_, _ = io.WriteString(h, g.DOT())
+	_, _ = io.WriteString(h, cluster.Baseline().Topo.DOT())
 	return fmt.Sprintf("fnv64a:%016x", h.Sum64())
 }
 

@@ -65,12 +65,12 @@ func RunCommPlan(cfg Config, p *comm.Plan, opt comm.Options, limit sim.Cycle) (*
 		if cfg.Shards > 1 {
 			return nil, fmt.Errorf("cluster: Shards=%d partitions the cycle backend's engine; the flow backend is a single analytic solve — run it with Shards <= 1", cfg.Shards)
 		}
-		rcfg, g, err := cfg.resolve()
+		rcfg, err := cfg.resolve()
 		if err != nil {
 			return nil, err
 		}
 		o := opt.WithDefaults()
-		res, err := flow.Run(g, p, flow.Options{
+		res, err := flow.Run(rcfg.Topo, p, flow.Options{
 			FlitBytes:     rcfg.GPU.FlitBytes,
 			LinesPerCycle: o.LinesPerCycle,
 			Start:         o.Start,

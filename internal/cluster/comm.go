@@ -90,11 +90,10 @@ func (s *System) RunCommByName(name string, sc comm.Scale, opt comm.Options, lim
 // through RunCommPlan.
 func RunCommOne(cfg Config, name string, sc comm.Scale, limit sim.Cycle) (*comm.Result, error) {
 	if sc.GPUs == 0 {
-		g, err := cfg.Graph()
-		if err != nil {
-			return nil, err
+		if cfg.Topo == nil {
+			return nil, errNoTopo
 		}
-		sc.GPUs = len(g.Devices)
+		sc.GPUs = len(cfg.Topo.Devices)
 	}
 	p, err := comm.ByName(name, sc)
 	if err != nil {

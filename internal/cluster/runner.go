@@ -16,7 +16,7 @@ import (
 // 2MB region lands on the GPU of the region's first mapped page).
 func (s *System) Load(spec *workload.Spec) {
 	for _, r := range spec.Regions {
-		owners := lasp.PlacePagesPolicy(r, s.cfg.GPUs, s.cfg.Placement)
+		owners := lasp.PlacePagesPolicy(r, len(s.GPUs), s.cfg.Placement)
 		baseVPN := vm.VPN(r.Base)
 		for p, owner := range owners {
 			paddr := s.alloc.AllocFrame(owner)
@@ -120,7 +120,7 @@ func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 	start := s.Engine.Now()
 	wallStart := s.simWall()
 	for ki, k := range spec.Kernels {
-		placement := lasp.ScheduleCTAs(k, s.cfg.GPUs)
+		placement := lasp.ScheduleCTAs(k, len(s.GPUs))
 		for cta := 0; cta < k.CTAs; cta++ {
 			g := s.GPUs[placement[cta]]
 			for w := 0; w < k.WavesPerCTA; w++ {
@@ -216,6 +216,9 @@ func RunOne(cfg Config, name string, sc workload.Scale, limit sim.Cycle) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	sys := New(cfg)
+	sys, err := Build(cfg)
+	if err != nil {
+		return nil, err
+	}
 	return sys.RunWorkload(spec, limit)
 }

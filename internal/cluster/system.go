@@ -9,6 +9,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -31,19 +32,15 @@ import (
 
 // Config describes one system instance.
 type Config struct {
-	// GPUs in the system and per cluster (baseline: 4 and 2). Ignored
-	// when Topo is set.
-	GPUs           int
-	GPUsPerCluster int
-	// IntraGBps / InterGBps are the per-direction link bandwidths
-	// (Table 2: 128 and 16). Ignored when Topo is set.
-	IntraGBps int
-	InterGBps int
-	// LinkLatency is the propagation latency of every link. Ignored
-	// when Topo is set (the graph carries per-link latencies).
-	LinkLatency sim.Cycle
-	Switch      network.SwitchConfig
-	GPU         gpu.Config
+	// Topo is the fabric to instantiate, and the only description of
+	// it: devices, switches, clusters, and per-link bandwidths
+	// (flits/cycle) and latencies. A NetCrafter controller is spliced
+	// in at every bandwidth taper point. Baseline() sets it to the
+	// paper's node (PaperNode); build any other fabric with a topo
+	// builder, a preset or a spec file. Build rejects a nil Topo.
+	Topo   *topo.Graph
+	Switch network.SwitchConfig
+	GPU    gpu.Config
 	// NetCrafter configures the controllers at the cluster boundary.
 	NetCrafter core.Config
 	// Placement selects the page-placement policy (LASP default).
@@ -55,12 +52,6 @@ type Config struct {
 	// reads, and Result.Components reports where the host time went.
 	// Simulated behavior is unaffected; host cost is roughly 2x.
 	Profile bool
-	// Topo, when non-nil, is the explicit fabric to instantiate: link
-	// bandwidths are taken from the graph (flits/cycle) and a
-	// NetCrafter controller is spliced into every cluster-boundary
-	// link. When nil, the GPUs/GPUsPerCluster/*GBps fields build the
-	// equivalent topo.FrontierNode graph.
-	Topo *topo.Graph
 	// Backend selects the simulation fidelity ("" = BackendCycle).
 	// BackendFlow solves communication plans analytically
 	// (internal/flow) instead of building a ticked system; workload
@@ -75,27 +66,42 @@ type Config struct {
 	Shards int
 }
 
+// The paper's Table 2 node: 4 GPUs in 2 clusters, 128 GB/s links
+// inside a cluster and 16 GB/s between clusters, per direction.
+const (
+	PaperGPUs      = 4
+	PaperClusters  = 2
+	PaperIntraGBps = 128
+	PaperInterGBps = 16
+)
+
+// PaperNode returns the paper's Figure-2 node shape (topo.FrontierNode)
+// with gpus GPUs split evenly over clusters clusters, its link
+// bandwidths given in GB/s and converted to flits/cycle at flitBytes
+// per flit, and every link at latency 1. It is the one place GB/s
+// turns into flits/cycle: a configuration that changes its flit size
+// rebuilds its node here. Like the topo builders it panics on an
+// impossible shape.
+func PaperNode(gpus, clusters, intraGBps, interGBps, flitBytes int) *topo.Graph {
+	return topo.FrontierNode(gpus, clusters,
+		FlitsPerCycle(intraGBps, flitBytes), FlitsPerCycle(interGBps, flitBytes), 1)
+}
+
 // Baseline returns the paper's Table 2 system with the NetCrafter
 // controller disabled (pure FIFO) — the "non-uniform" baseline.
 func Baseline() Config {
 	return Config{
-		GPUs:           4,
-		GPUsPerCluster: 2,
-		IntraGBps:      128,
-		InterGBps:      16,
-		LinkLatency:    1,
-		Switch:         network.DefaultSwitchConfig(),
-		NetCrafter:     core.Passthrough(),
-		Seed:           1,
+		Topo:       PaperNode(PaperGPUs, PaperClusters, PaperIntraGBps, PaperInterGBps, flit.DefaultFlitBytes),
+		Switch:     network.DefaultSwitchConfig(),
+		NetCrafter: core.Passthrough(),
+		Seed:       1,
 	}
 }
 
 // Ideal returns the unconstrained configuration of Fig 3: every link at
 // the intra-cluster bandwidth.
 func Ideal() Config {
-	c := Baseline()
-	c.InterGBps = c.IntraGBps
-	return c
+	return Baseline().WithTopology(PaperNode(PaperGPUs, PaperClusters, PaperIntraGBps, PaperIntraGBps, flit.DefaultFlitBytes))
 }
 
 // WithNetCrafter returns the baseline system with the paper's final
@@ -122,21 +128,14 @@ func FlitsPerCycle(gbps, flitBytes int) int {
 	return f
 }
 
-// Graph returns the validated topology graph this configuration would
-// instantiate — the explicit Topo, or the FrontierNode equivalent of
-// the GPU-count/bandwidth fields. The benchmark harness fingerprints
-// it (via its DOT rendering) into run manifests.
-func (c Config) Graph() (*topo.Graph, error) {
-	_, g, err := c.resolve()
-	return g, err
-}
+// errNoTopo is returned for a Config without a fabric.
+var errNoTopo = errors.New("cluster: Config.Topo is nil: start from Baseline() or set a topology with WithTopology")
 
-// resolve normalizes the configuration and produces the topology graph
-// to instantiate — the explicit Topo, or the FrontierNode equivalent of
-// the legacy GPU-count/bandwidth fields.
-func (c Config) resolve() (Config, *topo.Graph, error) {
-	if c.Topo == nil && c.GPUs == 0 {
-		c = Baseline()
+// resolve fills the configuration's defaults and validates its
+// topology graph.
+func (c Config) resolve() (Config, error) {
+	if c.Topo == nil {
+		return c, errNoTopo
 	}
 	if c.GPU.FlitBytes == 0 {
 		c.GPU.FlitBytes = c.NetCrafter.FlitBytes
@@ -144,35 +143,17 @@ func (c Config) resolve() (Config, *topo.Graph, error) {
 	if c.GPU.FlitBytes == 0 {
 		c.GPU.FlitBytes = flit.DefaultFlitBytes
 	}
-	if c.Topo != nil {
-		g := c.Topo
-		if err := g.Validate(); err != nil {
-			return c, nil, fmt.Errorf("cluster: %w", err)
-		}
-		if g.NumClusters() < 2 {
-			return c, nil, fmt.Errorf("cluster: topology %q needs at least two clusters (the paper's setting)", g.Name)
-		}
-		if c.Switch.BufferEntries == 0 {
-			c.Switch = network.DefaultSwitchConfig()
-		}
-		c.GPUs = len(g.Devices)
-		return c, g, nil
+	if c.Switch.BufferEntries == 0 {
+		c.Switch = network.DefaultSwitchConfig()
 	}
-	if c.GPUsPerCluster < 1 || c.GPUs%c.GPUsPerCluster != 0 {
-		return c, nil, fmt.Errorf("cluster: GPUs must divide into equal clusters")
+	g := c.Topo
+	if err := g.Validate(); err != nil {
+		return c, fmt.Errorf("cluster: %w", err)
 	}
-	nClusters := c.GPUs / c.GPUsPerCluster
-	if nClusters < 2 {
-		return c, nil, fmt.Errorf("cluster: need at least two clusters (the paper's setting)")
+	if g.NumClusters() < 2 {
+		return c, fmt.Errorf("cluster: topology %q needs at least two clusters (the paper's setting)", g.Name)
 	}
-	lat := c.LinkLatency
-	if lat < 1 {
-		lat = 1
-	}
-	g := topo.FrontierNode(c.GPUs, nClusters,
-		FlitsPerCycle(c.IntraGBps, c.GPU.FlitBytes),
-		FlitsPerCycle(c.InterGBps, c.GPU.FlitBytes), lat)
-	return c, g, nil
+	return c, nil
 }
 
 // gpuFrameSpan is the physical address space each GPU owns.
@@ -262,24 +243,14 @@ func (t graphTopology) HomeGPU(paddr uint64) int       { return int(paddr / gpuF
 func (t graphTopology) DeviceOf(g int) flit.DeviceID   { return flit.DeviceID(g) }
 func (t graphTopology) ClusterOf(g int) flit.ClusterID { return t.clusters[g] }
 
-// New builds the system, panicking on an invalid configuration (Build
-// is the error-returning variant for caller-supplied topologies).
-func New(cfg Config) *System {
-	s, err := Build(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
-// Build validates the configuration (and its topology, when given) and
-// instantiates the system.
+// Build validates the configuration and its topology and instantiates
+// the system.
 func Build(cfg Config) (*System, error) {
-	cfg, g, err := cfg.resolve()
+	cfg, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	return build(cfg, g)
+	return build(cfg, cfg.Topo)
 }
 
 // build instantiates a validated graph: GPUs for devices, crossbar

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -13,6 +14,16 @@ import (
 )
 
 const testLimit = sim.Cycle(30_000_000)
+
+// mustBuild builds cfg's system, failing the test on error.
+func mustBuild(t *testing.T, cfg Config) *System {
+	t.Helper()
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
 
 func tinyRun(t *testing.T, cfg Config, name string) *Result {
 	t.Helper()
@@ -149,7 +160,7 @@ func TestSectorModeRaisesMPKIOnGather(t *testing.T) {
 }
 
 func TestPTECoLocationInvariant(t *testing.T) {
-	sys := New(Baseline())
+	sys := mustBuild(t, Baseline())
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +188,7 @@ func TestPTECoLocationInvariant(t *testing.T) {
 
 func TestFlitConservationEndToEnd(t *testing.T) {
 	// Controllers' queues and RDMA reassemblers must fully drain.
-	sys := New(WithNetCrafter())
+	sys := mustBuild(t, WithNetCrafter())
 	spec, err := workload.ByName("MT", workload.Tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -205,27 +216,23 @@ func TestBandwidthHelpers(t *testing.T) {
 }
 
 func TestConfigPresets(t *testing.T) {
-	if Ideal().InterGBps != Ideal().IntraGBps {
-		t.Fatal("Ideal is not uniform")
+	for _, l := range Ideal().Topo.Links {
+		if l.BW != 8 {
+			t.Fatalf("Ideal is not uniform: link %s-%s at %d flits/cycle, want 8", l.A, l.B, l.BW)
+		}
 	}
 	if WithNetCrafter().NetCrafter.Sequencing != core.SeqPTW {
 		t.Fatal("WithNetCrafter missing sequencing")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd cluster split accepted")
-		}
-	}()
-	New(Config{GPUs: 4, GPUsPerCluster: 3})
+	if _, err := Build(Config{}); !errors.Is(err, errNoTopo) {
+		t.Fatalf("Build without a topology: err = %v, want a nil-Topo error", err)
+	}
 }
 
 // TestFourClusterTopology exercises the scaling extension: 8 GPUs in 4
 // clusters joined through a central inter-cluster switch.
 func TestFourClusterTopology(t *testing.T) {
-	cfg := Baseline()
-	cfg.GPUs = 8
-	cfg.GPUsPerCluster = 2
-	sys := New(cfg)
+	sys := mustBuild(t, Baseline().WithTopology(PaperNode(8, 4, PaperIntraGBps, PaperInterGBps, 16)))
 	if sys.NumClusters() != 4 || len(sys.Controllers) != 4 || len(sys.InterLinks) != 4 {
 		t.Fatalf("4-cluster wiring wrong: %d clusters, %d controllers, %d links",
 			sys.NumClusters(), len(sys.Controllers), len(sys.InterLinks))
@@ -256,9 +263,7 @@ func TestFourClusterNetCrafterStillHelps(t *testing.T) {
 		if nc {
 			cfg = WithNetCrafter()
 		}
-		cfg.GPUs = 8
-		cfg.GPUsPerCluster = 2
-		return cfg
+		return cfg.WithTopology(PaperNode(8, 4, PaperIntraGBps, PaperInterGBps, 16))
 	}
 	sc := workload.Tiny()
 	sc.CTAs = 16
@@ -283,7 +288,7 @@ func TestFourClusterNetCrafterStillHelps(t *testing.T) {
 // NetCrafter design and audits conservation invariants afterwards.
 func TestAuditAfterEveryWorkload(t *testing.T) {
 	for _, name := range []string{"GUPS", "MT", "LENET"} {
-		sys := New(WithNetCrafter())
+		sys := mustBuild(t, WithNetCrafter())
 		spec, err := workload.ByName(name, workload.Tiny())
 		if err != nil {
 			t.Fatal(err)
@@ -299,7 +304,7 @@ func TestAuditAfterEveryWorkload(t *testing.T) {
 
 // TestAuditDetectsImbalance sanity-checks the auditor itself.
 func TestAuditDetectsImbalance(t *testing.T) {
-	sys := New(Baseline())
+	sys := mustBuild(t, Baseline())
 	sys.GPUs[0].RDMA.Stats.RemoteReads.Inc() // fake an unserved read
 	if err := sys.Audit(); err == nil {
 		t.Fatal("audit missed an unserved remote read")
@@ -327,7 +332,7 @@ func TestTrimWritesEndToEnd(t *testing.T) {
 func TestTraceRecordsWireEvents(t *testing.T) {
 	var buf strings.Builder
 	rec := trace.NewRecorder(&buf)
-	sys := New(WithNetCrafter())
+	sys := mustBuild(t, WithNetCrafter())
 	sys.AttachTrace(rec)
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {

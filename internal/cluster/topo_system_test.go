@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"netcrafter/internal/core"
@@ -21,13 +22,21 @@ func (t legacyTopo) HomeGPU(paddr uint64) int       { return int(paddr / gpuFram
 func (t legacyTopo) DeviceOf(g int) flit.DeviceID   { return flit.DeviceID(g) }
 func (t legacyTopo) ClusterOf(g int) flit.ClusterID { return flit.ClusterID(g / t.gpusPerCluster) }
 
-// legacyNew is the seed's hand-wired system builder, preserved verbatim
-// as the reference the graph-driven builder must reproduce bit-exactly:
-// same component names, port order, and engine registration order.
-func legacyNew(cfg Config) *System {
-	if cfg.GPUs == 0 {
-		cfg = Baseline()
-	}
+// The hand-wired reference node: the paper's Table 2 fabric.
+const (
+	legacyGPUs           = 4
+	legacyGPUsPerCluster = 2
+	legacyIntraGBps      = 128
+	legacyInterGBps      = 16
+	legacyLinkLatency    = sim.Cycle(1)
+)
+
+// legacyNew is the seed's hand-wired system builder, kept as the
+// reference the graph-driven builder must reproduce bit-exactly: same
+// component names, port order, and engine registration order. It wires
+// the legacy* fabric with interGBps between the clusters and ignores
+// cfg.Topo.
+func legacyNew(cfg Config, interGBps int) *System {
 	if cfg.GPU.FlitBytes == 0 {
 		cfg.GPU.FlitBytes = cfg.NetCrafter.FlitBytes
 	}
@@ -38,33 +47,33 @@ func legacyNew(cfg Config) *System {
 		Engine:    sim.NewEngine(),
 		Sched:     sim.NewScheduler(),
 		cfg:       cfg,
-		nClusters: cfg.GPUs / cfg.GPUsPerCluster,
-		alloc:     &frameAlloc{next: make([]uint64, cfg.GPUs)},
+		nClusters: legacyGPUs / legacyGPUsPerCluster,
+		alloc:     &frameAlloc{next: make([]uint64, legacyGPUs)},
 		rng:       sim.NewRand(cfg.Seed),
 	}
 	s.Engine.Register("sched", s.Sched)
-	tp := legacyTopo{gpusPerCluster: cfg.GPUsPerCluster}
+	tp := legacyTopo{gpusPerCluster: legacyGPUsPerCluster}
 	s.PT = vm.NewPageTable(s.alloc)
 
 	flitBytes := cfg.GPU.FlitBytes
-	intraRate := FlitsPerCycle(cfg.IntraGBps, flitBytes)
-	interRate := FlitsPerCycle(cfg.InterGBps, flitBytes)
+	intraRate := FlitsPerCycle(legacyIntraGBps, flitBytes)
+	interRate := FlitsPerCycle(interGBps, flitBytes)
 
-	nClusters := cfg.GPUs / cfg.GPUsPerCluster
+	nClusters := legacyGPUs / legacyGPUsPerCluster
 	switches := make([]*network.Switch, nClusters)
 
-	for g := 0; g < cfg.GPUs; g++ {
+	for g := 0; g < legacyGPUs; g++ {
 		s.GPUs = append(s.GPUs, gpu.New(g, cfg.GPU, tp, s.PT, nil, s.Sched))
 	}
 
 	for c := 0; c < nClusters; c++ {
 		sw := network.NewSwitch(fmt.Sprintf("sw%d", c), cfg.Switch)
 		switches[c] = sw
-		for i := 0; i < cfg.GPUsPerCluster; i++ {
-			g := c*cfg.GPUsPerCluster + i
+		for i := 0; i < legacyGPUsPerCluster; i++ {
+			g := c*legacyGPUsPerCluster + i
 			pIdx := sw.AddPort(network.NewPort(fmt.Sprintf("sw%d.gpu%d", c, g), cfg.Switch.BufferEntries))
 			sw.SetPortRate(pIdx, intraRate)
-			link := network.NewLink(fmt.Sprintf("l.gpu%d", g), s.GPUs[g].RDMA.Port, sw.Ports()[pIdx], intraRate, cfg.LinkLatency)
+			link := network.NewLink(fmt.Sprintf("l.gpu%d", g), s.GPUs[g].RDMA.Port, sw.Ports()[pIdx], intraRate, legacyLinkLatency)
 			sw.SetRoute(tp.DeviceOf(g), pIdx)
 			s.Engine.Register(link.Name, link)
 		}
@@ -79,11 +88,11 @@ func legacyNew(cfg Config) *System {
 		sw := switches[c]
 		pIdx := sw.AddPort(network.NewPort(fmt.Sprintf("sw%d.nc", c), cfg.Switch.BufferEntries))
 		sw.SetPortRate(pIdx, intraRate)
-		link := network.NewLink(fmt.Sprintf("l.nc%d", c), ctl.Local, sw.Ports()[pIdx], intraRate, cfg.LinkLatency)
+		link := network.NewLink(fmt.Sprintf("l.nc%d", c), ctl.Local, sw.Ports()[pIdx], intraRate, legacyLinkLatency)
 		sw.SetDefaultRoute(pIdx)
 		s.Engine.Register(link.Name, link)
 	}
-	inter := network.NewLink("l.inter", s.Controllers[0].Remote, s.Controllers[1].Remote, interRate, cfg.LinkLatency)
+	inter := network.NewLink("l.inter", s.Controllers[0].Remote, s.Controllers[1].Remote, interRate, legacyLinkLatency)
 	s.InterLinks = append(s.InterLinks, inter)
 	s.Engine.Register(inter.Name, inter)
 
@@ -140,24 +149,25 @@ func sameRun(t *testing.T, label string, a, b *Result) {
 // merely statistically close.
 func TestTopoDefaultMatchesLegacyWiring(t *testing.T) {
 	for _, tc := range []struct {
-		label string
-		cfg   Config
+		label     string
+		cfg       Config
+		interGBps int
 	}{
-		{"baseline", Baseline()},
-		{"netcrafter", WithNetCrafter()},
-		{"ideal", Ideal()},
+		{"baseline", Baseline(), legacyInterGBps},
+		{"netcrafter", WithNetCrafter(), legacyInterGBps},
+		{"ideal", Ideal(), legacyIntraGBps},
 	} {
 		for _, wl := range []string{"GUPS", "SPMV"} {
-			want := runOn(t, legacyNew(tc.cfg), wl, workload.Tiny())
-			got := runOn(t, New(tc.cfg), wl, workload.Tiny())
+			want := runOn(t, legacyNew(tc.cfg, tc.interGBps), wl, workload.Tiny())
+			got := runOn(t, mustBuild(t, tc.cfg), wl, workload.Tiny())
 			sameRun(t, tc.label+"/"+wl, want, got)
 		}
 	}
 }
 
-// TestTopoGraphConfigMatchesDefault pins the explicit-graph path to the
-// legacy-fields path: WithTopology(FrontierNode(4,2,8,1,1)) is the same
-// machine as the default Config.
+// TestTopoGraphConfigMatchesDefault pins a hand-built graph to the
+// default: WithTopology(FrontierNode(4,2,8,1,1)) is the same machine as
+// the PaperNode fabric of the default Config.
 func TestTopoGraphConfigMatchesDefault(t *testing.T) {
 	def := tinyRun(t, WithNetCrafter(), "GUPS")
 	viaGraph := tinyRun(t, WithNetCrafter().WithTopology(topo.FrontierNode(4, 2, 8, 1, 1)), "GUPS")
@@ -289,7 +299,7 @@ func TestFullyConnectedPortCount(t *testing.T) {
 }
 
 // TestBuildRejectsBadTopologies checks graph problems surface as errors
-// from Build (and panics only from New).
+// from Build, and from RunOne, which builds its own system.
 func TestBuildRejectsBadTopologies(t *testing.T) {
 	oneCluster := &topo.Graph{
 		Name:     "one",
@@ -304,10 +314,8 @@ func TestBuildRejectsBadTopologies(t *testing.T) {
 	if _, err := Build(Baseline().WithTopology(invalid)); err == nil {
 		t.Fatal("empty topology accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New did not panic on an invalid topology")
-		}
-	}()
-	New(Baseline().WithTopology(invalid))
+	if _, err := RunOne(Baseline().WithTopology(oneCluster), "GUPS", workload.Tiny(), testLimit); err == nil ||
+		!strings.Contains(err.Error(), "needs at least two clusters") {
+		t.Fatalf("RunOne on a single-cluster topology: err = %v", err)
+	}
 }

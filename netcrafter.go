@@ -33,9 +33,10 @@ import (
 	"netcrafter/internal/workload"
 )
 
-// Config describes a full system instance: GPU count and clustering,
-// link bandwidths, switch parameters, GPU microarchitecture, and the
-// NetCrafter controller configuration.
+// Config describes a full system instance: the fabric (Topo, its only
+// description of GPUs, clusters and link bandwidths), switch
+// parameters, GPU microarchitecture, and the NetCrafter controller
+// configuration.
 type Config = cluster.Config
 
 // ControllerConfig holds the NetCrafter mechanism knobs (stitching,
@@ -102,7 +103,7 @@ type Scale = workload.Scale
 // Cycle is a point in simulated time (1 GHz cycles).
 type Cycle = sim.Cycle
 
-// System is a built multi-GPU node; construct with NewSystem for
+// System is a built multi-GPU node; construct with BuildSystem for
 // fine-grained control, or use Run for the common case.
 type System = cluster.System
 
@@ -134,13 +135,9 @@ func Medium() Scale { return workload.Medium() }
 // Workloads lists the fifteen Table-3 applications.
 func Workloads() []string { return workload.Names() }
 
-// NewSystem builds a system for repeated or incremental use, panicking
-// on an invalid configuration; BuildSystem is the error-returning
-// variant for caller-supplied topologies.
-func NewSystem(cfg Config) *System { return cluster.New(cfg) }
-
-// BuildSystem validates cfg (and its Topology, when set) and builds the
-// system, returning invalid-fabric problems as errors.
+// BuildSystem validates cfg and its Topology and builds the system for
+// repeated or incremental use, returning invalid-fabric problems as
+// errors.
 func BuildSystem(cfg Config) (*System, error) { return cluster.Build(cfg) }
 
 // Topology is a declarative fabric graph: GPU devices, switches and
@@ -169,6 +166,15 @@ func TopologyPreset(name string) (*Topology, error) { return topo.Preset(name) }
 // the seed system.
 func FrontierTopology(nGPUs, nClusters, intraBW, interBW int, latency Cycle) *Topology {
 	return topo.FrontierNode(nGPUs, nClusters, intraBW, interBW, latency)
+}
+
+// PaperTopology is the paper's node with gpus GPUs split evenly over
+// clusters clusters, its link bandwidths given in GB/s and converted to
+// flits/cycle at flitBytes per flit. PaperTopology(4, 2, 128, 16, 16)
+// is the fabric of Baseline(); a configuration that changes its flit
+// size or bandwidths rebuilds its fabric here.
+func PaperTopology(gpus, clusters, intraGBps, interGBps, flitBytes int) *Topology {
+	return cluster.PaperNode(gpus, clusters, intraGBps, interGBps, flitBytes)
 }
 
 // RingTopology joins nClusters clusters in a ring of interBW links.

@@ -26,8 +26,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPIConfigs(t *testing.T) {
-	if netcrafter.Baseline().InterGBps != 16 || netcrafter.Ideal().InterGBps != 128 {
-		t.Fatal("preset bandwidths wrong")
+	// 128 and 16 GB/s are 8 and 1 flits/cycle at 16-byte flits.
+	if netcrafter.Baseline().Topo.DOT() != netcrafter.FrontierTopology(4, 2, 8, 1, 1).DOT() ||
+		netcrafter.Ideal().Topo.DOT() != netcrafter.FrontierTopology(4, 2, 8, 8, 1).DOT() {
+		t.Fatal("preset fabrics wrong")
 	}
 	nc := netcrafter.WithNetCrafter()
 	if !nc.NetCrafter.EnableStitch || !nc.NetCrafter.EnableTrim || nc.NetCrafter.Sequencing != netcrafter.SeqPTW {
@@ -64,7 +66,10 @@ func TestPublicAPICustomSystem(t *testing.T) {
 	cfg.NetCrafter = netcrafter.ControllerBaseline()
 	cfg.NetCrafter.PoolingCycles = 64
 	cfg.GPU.FetchMode = netcrafter.FetchFullLine
-	sys := netcrafter.NewSystem(cfg)
+	sys, err := netcrafter.BuildSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sys.NumClusters() != 2 {
 		t.Fatal("custom system wrong")
 	}
@@ -84,5 +89,27 @@ func TestPublicAPIExperiment(t *testing.T) {
 	}
 	if v, ok := rep.Value("ReadRsp", "padded"); !ok || v != 12 {
 		t.Fatalf("experiment value = %v,%v", v, ok)
+	}
+}
+
+// TestPublicAPIRejectsBadFabrics checks a missing or single-cluster
+// fabric comes back as an error from the facade, never a panic.
+func TestPublicAPIRejectsBadFabrics(t *testing.T) {
+	one, err := netcrafter.ParseTopology([]byte(`{
+	  "name": "one",
+	  "devices": [{"name": "gpu0", "cluster": 0}, {"name": "gpu1", "cluster": 0}],
+	  "switches": [{"name": "sw0", "cluster": 0}],
+	  "links": [{"a": "gpu0", "b": "sw0", "bw": 8}, {"a": "gpu1", "b": "sw0", "bw": 8}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []netcrafter.Config{{}, netcrafter.Baseline().WithTopology(one)} {
+		if _, err := netcrafter.BuildSystem(cfg); err == nil {
+			t.Errorf("BuildSystem accepted fabric %v", cfg.Topo)
+		}
+		if _, err := netcrafter.Run(cfg, "GUPS", netcrafter.Tiny()); err == nil {
+			t.Errorf("Run accepted fabric %v", cfg.Topo)
+		}
 	}
 }
