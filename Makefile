@@ -165,7 +165,8 @@ timeline-smoke:
 # Race-instrumented smoke of the communication-program subsystem: a
 # small ring all-reduce and a short open-loop serving run through the
 # shipped binary, checking the bandwidth line and the p999 tail are
-# reported.
+# reported, then a ring all-reduce with the wire trace and packet spans
+# attached, checking both files carry the comm traffic.
 comm-smoke:
 	$(GO) run -race ./cmd/netcrafter-sim -comm ring-allreduce -scale tiny \
 		-config baseline > /tmp/netcrafter-comm-smoke.txt
@@ -175,6 +176,13 @@ comm-smoke:
 		{ echo "comm-smoke: no bus bandwidth reported"; exit 1; }
 	@grep -q 'p999' /tmp/netcrafter-comm-smoke.txt || \
 		{ echo "comm-smoke: no latency tail reported"; exit 1; }
+	$(GO) run -race ./cmd/netcrafter-sim -comm ring-allreduce -scale tiny \
+		-trace /tmp/netcrafter-comm-trace.jsonl \
+		-spans /tmp/netcrafter-comm-spans.jsonl > /dev/null
+	@grep -q '"kind":"eject"' /tmp/netcrafter-comm-trace.jsonl || \
+		{ echo "comm-smoke: -trace recorded no controller ejections"; exit 1; }
+	@grep -q '"type":"WriteReq"' /tmp/netcrafter-comm-spans.jsonl || \
+		{ echo "comm-smoke: -spans recorded no comm write spans"; exit 1; }
 
 # End-to-end smoke of the analytic flow backend: a collective through
 # the shipped sim binary, the flow-backend bench sweep writing a

@@ -98,9 +98,6 @@ func main() {
 		return
 	}
 
-	if *shards > 1 && backend.Norm() != netcrafter.BackendCycle {
-		fail(fmt.Errorf("-shards %d partitions the cycle backend's engine; -backend %s cannot shard", *shards, backend.Norm()))
-	}
 	opt := netcrafter.ExperimentOptions{Parallel: *parallel, Profile: *profile, Backend: backend, Shards: *shards}
 	switch *scale {
 	case "tiny":

@@ -19,18 +19,24 @@
 // section 2.15). Results are bit-identical to the serial engine at any
 // shard count; only wall-clock changes, so use it on multi-core hosts
 // with multi-cluster topologies. Shard counts above the cluster count
-// clamp down. Cycle backend only; the observability flags (-trace,
-// -spans, -metrics, -timeline, -heatmap) and the -comm modes
-// instrument shared state and refuse to combine with -shards.
+// clamp down. The simulator itself refuses what a sharded run cannot
+// serve — the observability flags (-trace, -spans, -metrics,
+// -timeline, -heatmap) attach shared sinks, and the -comm modes
+// register global injectors — and the error names the serial engine.
 //
 // -backend selects the simulation fidelity. The default cycle backend
 // ticks every flit through the real switches and controllers; the
 // flow backend solves communication plans analytically as max-min
 // fair fluid flows (DESIGN.md section 2.14) — orders of magnitude
-// faster, but it models plans only, so it requires -comm or
-// -comm-replay and rejects workloads and the ticked-system
-// observability flags (-metrics, -timeline, -heatmap). See the
-// ext-calibrate bench experiment for its measured error.
+// faster, but it models plans only: a workload, an observability flag,
+// -inflight-dump or -profile-components needs a ticked system, which
+// the flow backend refuses to build ("needs the cycle backend"). See
+// the ext-calibrate bench experiment for its measured error.
+//
+// Workload and comm runs take one path: build the ticked system,
+// attach the requested sinks, run. The CLI keeps no table of which
+// flags combine; the one rule of its own is that -timeline and
+// -heatmap need a single -workload.
 //
 // -comm runs a communication program instead of a workload: a
 // collective (ring-allreduce, tree-allreduce, alltoall, pipeline,
@@ -42,7 +48,8 @@
 // JSONL trace ({"t":cycle,"src":gpu,"dst":gpu,"bytes":n,...});
 // -comm-replay executes such a trace instead of generating a plan —
 // replaying an exported trace reproduces the generator's metrics
-// exactly. -metrics, -timeline and -heatmap compose with -comm.
+// exactly. Every observability flag, -inflight-dump and
+// -profile-components compose with -comm as with a workload.
 //
 // Without -topo the fabric is the paper's 4-GPU/2-cluster node, its
 // link bandwidths set by -config, -intra and -inter (GB/s) and
@@ -207,20 +214,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		cfg = cfg.WithTopology(netcrafter.PaperTopology(4, 2, intraGBps, interGBps, cfg.NetCrafter.FlitBytes))
 	}
 	cfg.Seed = *seed
-	if *prof {
-		cfg.Profile = true
-	}
-	if *shards > 1 {
-		// Fail the flag combinations here, before any simulation state is
-		// built, with messages that name the conflicting flag.
-		if *commF != "" || *commR != "" {
-			return fail(fmt.Errorf("-shards needs the serial engine: -comm/-comm-replay register global injectors and a shared tracker"))
-		}
-		if *traceF != "" || *spansF != "" || *metF != "" || *tlF != "" || *heat {
-			return fail(fmt.Errorf("-shards needs the serial engine: -trace/-spans/-metrics/-timeline/-heatmap attach observability sinks shared across shards"))
-		}
-		cfg.Shards = *shards
-	}
+	cfg.Profile = *prof
+	cfg.Shards = *shards
 
 	sc, err := pickScale(*scale)
 	if err != nil {
@@ -232,16 +227,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, strings.Join(netcrafter.CommPrograms(), "\n"))
 		return 0
 	}
+	// Workload and comm runs honour the same sinks; cluster refuses the
+	// combinations a mode cannot serve.
+	out := outputs{trace: *traceF, spans: *spansF, metrics: *metF, timeline: *tlF, heatmap: *heat}
 	if *commF != "" || *commR != "" {
 		return runCommMode(cfg, commFlags{
 			prog: *commF, scale: *scale, bytes: *commB, qps: *qps,
 			requests: *reqs, seed: *seed, export: *commX, replay: *commR,
-			out: outputs{metrics: *metF, timeline: *tlF, heatmap: *heat},
+			inflight: *inFlt, out: out,
 		}, stdout, stderr)
-	}
-
-	if backend.Norm() != netcrafter.BackendCycle {
-		return fail(fmt.Errorf("-backend %s runs communication programs only (use -comm); workloads need the cycle backend", backend))
 	}
 
 	names := []string{*wl}
@@ -256,48 +250,22 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	// Open every output before simulating: an unwritable path must fail
 	// now, not after the run.
-	out := outputs{trace: *traceF, spans: *spansF, metrics: *metF, timeline: *tlF, heatmap: *heat}
 	if err := out.open(stdout); err != nil {
 		return fail(err)
 	}
 
 	for _, name := range names {
 		var res *netcrafter.Result
-		var err error
-		if out.attached() || *inFlt {
-			sys, berr := netcrafter.BuildSystem(cfg)
-			if berr != nil {
-				return fail(berr)
-			}
-			sys.AttachTrace(out.rec)
-			sys.AttachObs(out.reg, out.spanRec, out.tl)
+		sys, err := runTicked(cfg, &out, *inFlt, name, stdout, stderr, func(sys *netcrafter.System) (err error) {
 			res, err = netcrafter.RunOnSystem(sys, name, sc, 500_000_000)
-			if out.tl != nil {
-				out.tl.Finish(sys.Engine.Now())
-			}
-			if *inFlt {
-				if err != nil {
-					// A wedged run: the watchdog names the transactions
-					// that stopped moving, with their stage history.
-					fmt.Fprintf(stderr, "%s: %v; stuck-transaction report:\n", name, err)
-					if sys.CheckStuck(stderr, 10_000) == 0 {
-						fmt.Fprintln(stderr, "  (no transaction older than 10000 cycles)")
-					}
-				}
-				sys.DumpInFlight(stdout)
-			}
-		} else {
-			res, err = netcrafter.Run(cfg, name, sc)
-		}
+			return err
+		})
 		if err != nil {
 			return fail(err)
 		}
 		printResult(stdout, res, *verb)
-		if *prof {
-			fmt.Fprintln(stdout)
-			if err := netcrafter.WriteComponentProfile(stdout, res.Components); err != nil {
-				return fail(err)
-			}
+		if err := printProfile(stdout, sys); err != nil {
+			return fail(err)
 		}
 	}
 	if err := out.finish(stdout); err != nil {
@@ -416,9 +384,51 @@ func (o *outputs) open(stdout io.Writer) error {
 	return nil
 }
 
-// attached reports whether any sink needs a built system to attach to.
-func (o *outputs) attached() bool {
-	return o.rec != nil || o.reg != nil || o.spanRec != nil || o.tl != nil
+// sinks returns the opened sinks for System.Attach.
+func (o *outputs) sinks() netcrafter.Sinks {
+	return netcrafter.Sinks{Trace: o.rec, Metrics: o.reg, Spans: o.spanRec, Timeline: o.tl}
+}
+
+// runTicked builds the ticked system for cfg, attaches the opened
+// sinks, and runs fn on it. It then closes the timeline at the final
+// cycle and, with inflight set, dumps the live transaction tables —
+// after a failed run preceded by the stuck-transaction report for
+// label. The system is returned even when fn fails.
+func runTicked(cfg netcrafter.Config, out *outputs, inflight bool, label string, stdout, stderr io.Writer,
+	fn func(*netcrafter.System) error) (*netcrafter.System, error) {
+	sys, err := netcrafter.BuildSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.Attach(out.sinks()); err != nil {
+		return nil, err
+	}
+	err = fn(sys)
+	if out.tl != nil {
+		out.tl.Finish(sys.Engine.Now())
+	}
+	if inflight {
+		if err != nil {
+			// A wedged run: the watchdog names the transactions that
+			// stopped moving, with their stage history.
+			fmt.Fprintf(stderr, "%s: %v; stuck-transaction report:\n", label, err)
+			if sys.CheckStuck(stderr, 10_000) == 0 {
+				fmt.Fprintln(stderr, "  (no transaction older than 10000 cycles)")
+			}
+		}
+		sys.DumpInFlight(stdout)
+	}
+	return sys, err
+}
+
+// printProfile prints the engine self-profile of a Config.Profile run
+// (-profile-components) after its result; other runs print nothing.
+func printProfile(stdout io.Writer, sys *netcrafter.System) error {
+	if !sys.Config().Profile {
+		return nil
+	}
+	fmt.Fprintln(stdout)
+	return netcrafter.WriteComponentProfile(stdout, sys.Profile())
 }
 
 // finish flushes every sink to its output, closes the files, and
@@ -460,14 +470,15 @@ func (o *outputs) finish(stdout io.Writer) error {
 	return nil
 }
 
-// commFlags bundles the -comm* flag values for runCommMode; out holds
-// the -metrics/-timeline/-heatmap outputs.
+// commFlags bundles the -comm* flag values for runCommMode; inflight
+// is -inflight-dump and out holds the sink outputs.
 type commFlags struct {
 	prog, scale     string
 	bytes, requests int
 	qps             float64
 	seed            uint64
 	export, replay  string
+	inflight        bool
 	out             outputs
 }
 
@@ -490,31 +501,17 @@ func pickCommScale(sel string) (netcrafter.CommScale, error) {
 }
 
 // runCommMode is the -comm / -comm-replay path: generate or parse a
-// communication plan, optionally export it, run it through the
-// selected backend — the real ticked fabric, or the analytic flow
-// solver — and print the makespan line plus, for serving programs,
-// the per-request latency table.
+// communication plan, optionally export it, run it — on the ticked
+// fabric with the sinks attached, or, for a flow-backend run that asks
+// for no sink and no system flag, through the analytic flow solver —
+// and print the makespan line plus, for serving programs, the
+// per-request latency table.
 func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "netcrafter-sim:", err)
 		return 1
 	}
-	flowBackend := cfg.Backend.Norm() == netcrafter.BackendFlow
 	out := &cf.out
-	if flowBackend && (out.metrics != "" || out.timeline != "" || out.heatmap) {
-		return fail(fmt.Errorf("-metrics, -timeline and -heatmap instrument the ticked system; they need -backend cycle"))
-	}
-
-	// The flow backend never builds a system: it solves the plan on
-	// the topology itself.
-	var err error
-	var sys *netcrafter.System
-	if !flowBackend {
-		sys, err = netcrafter.BuildSystem(cfg)
-		if err != nil {
-			return fail(err)
-		}
-	}
 
 	var plan *netcrafter.CommPlan
 	if cf.replay != "" {
@@ -569,18 +566,17 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 	if err := out.open(stdout); err != nil {
 		return fail(err)
 	}
-	if out.attached() {
-		sys.AttachObs(out.reg, nil, out.tl)
-	}
 
 	var res *netcrafter.CommResult
-	if flowBackend {
+	var sys *netcrafter.System
+	var err error
+	if cfg.Backend.Norm() == netcrafter.BackendFlow && out.sinks() == (netcrafter.Sinks{}) && !cf.inflight && !cfg.Profile {
 		res, err = netcrafter.RunCommPlanWith(cfg, plan, netcrafter.CommOptions{}, 500_000_000)
 	} else {
-		res, err = netcrafter.RunCommPlan(sys, plan, netcrafter.CommOptions{}, 500_000_000)
-		if out.tl != nil {
-			out.tl.Finish(sys.Engine.Now())
-		}
+		sys, err = runTicked(cfg, out, cf.inflight, plan.Name, stdout, stderr, func(sys *netcrafter.System) (err error) {
+			res, err = netcrafter.RunCommPlan(sys, plan, netcrafter.CommOptions{}, 500_000_000)
+			return err
+		})
 	}
 	if err != nil {
 		return fail(err)
@@ -589,6 +585,11 @@ func runCommMode(cfg netcrafter.Config, cf commFlags, stdout, stderr io.Writer) 
 	if tbl := res.LatencyTable(); tbl != "" {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, tbl)
+	}
+	if sys != nil {
+		if err := printProfile(stdout, sys); err != nil {
+			return fail(err)
+		}
 	}
 
 	if err := out.finish(stdout); err != nil {

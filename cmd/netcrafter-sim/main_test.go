@@ -16,6 +16,8 @@ import (
 func TestRunFlagMatrix(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-workload", "GUPS", "-scale", "tiny"}
+	comm := []string{"-comm", "ring-allreduce", "-scale", "tiny"}
+	flowComm := []string{"-backend", "flow", "-comm", "ring-allreduce", "-scale", "tiny"}
 	// A valid graph the system builder must refuse: both GPUs sit in
 	// one cluster.
 	oneCluster := filepath.Join(dir, "one.json")
@@ -84,9 +86,34 @@ func TestRunFlagMatrix(t *testing.T) {
 		{name: "flow workload rejected", args: []string{"-backend", "flow", "-workload", "GUPS", "-scale", "tiny"}, exit: 1,
 			wantErr: []string{"cycle backend"}},
 		{name: "flow metrics rejected", args: []string{"-backend", "flow", "-comm", "serve-poisson", "-scale", "tiny", "-metrics", "-"}, exit: 1,
-			wantErr: []string{"-backend cycle"}},
+			wantErr: []string{"cycle backend"}},
 		{name: "flow heatmap rejected", args: []string{"-backend", "flow", "-comm", "ring-allreduce", "-scale", "tiny", "-heatmap"}, exit: 1,
-			wantErr: []string{"-backend cycle"}},
+			wantErr: []string{"cycle backend"}},
+		// Every system flag is honoured by comm runs and refused, not
+		// dropped, under the flow backend.
+		{name: "comm trace", args: append(comm, "-trace", "-"), exit: 0,
+			wantOut: []string{`"kind":"eject"`, "trace: 10752 events", "cycles=5328"}},
+		{name: "comm spans", args: append(comm, "-spans", "-"), exit: 0,
+			wantOut: []string{`"type":"WriteReq"`, "spans: 6144 recorded", "cycles=5328"}},
+		{name: "comm inflight dump", args: append(comm, "-inflight-dump"), exit: 0,
+			wantOut: []string{"txn table cluster0", "cycles=5328"}},
+		{name: "comm profile components", args: append(comm, "-profile-components"), exit: 0,
+			wantOut: []string{"cycles=5328", "component profile", "comm.g0"}},
+		{name: "flow trace rejected", args: append(flowComm, "-trace", "-"), exit: 1,
+			wantErr: []string{"cycle backend"}},
+		{name: "flow spans rejected", args: append(flowComm, "-spans", "-"), exit: 1,
+			wantErr: []string{"cycle backend"}},
+		{name: "flow inflight dump rejected", args: append(flowComm, "-inflight-dump"), exit: 1,
+			wantErr: []string{"cycle backend"}},
+		{name: "flow profile components rejected", args: append(flowComm, "-profile-components"), exit: 1,
+			wantErr: []string{"cycle backend"}},
+		// The shard refusals come from cluster, before any simulating.
+		{name: "shards metrics rejected", args: append(base, "-shards", "2", "-metrics", "-"), exit: 1,
+			wantErr: []string{"serial engine"}},
+		{name: "shards comm rejected", args: append(comm, "-shards", "2"), exit: 1,
+			wantErr: []string{"serial engine"}},
+		{name: "shards flow comm rejected", args: append(flowComm, "-shards", "2"), exit: 1,
+			wantErr: []string{"Shards"}},
 		{name: "bad backend", args: []string{"-backend", "bogus"}, exit: 1, wantErr: []string{"unknown backend"}},
 		{name: "topo info fattree", args: []string{"-topo", "fattree-64", "-topo-info"}, exit: 0,
 			wantOut: []string{"devices: 64", "taper-points: 32", "controllers: 32", "inter-links: 16", "taper-links: 16"}},

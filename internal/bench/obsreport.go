@@ -55,7 +55,9 @@ func ObservedRun(cfg cluster.Config, name string, opt Options) (*cluster.Result,
 	}
 	reg := obs.NewRegistry()
 	rec := obs.NewSpanRecorder(nil)
-	sys.AttachObs(reg, rec, nil)
+	if err := sys.Attach(cluster.Sinks{Metrics: reg, Spans: rec}); err != nil {
+		return nil, nil, nil, err
+	}
 	res, err := sys.RunWorkload(spec, opt.Limit)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("bench: %s: %w", name, err)

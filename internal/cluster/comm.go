@@ -28,11 +28,11 @@ func commAddr(dst int, off uint64) uint64 {
 
 // RunComm executes a communication plan on the system: one injector
 // per participant GPU, run until every transfer is acknowledged and
-// the fabric has drained, or the cycle limit is hit. When AttachObs
-// was called with a registry or timeline, request latencies also feed
-// a "comm.request_latency_cycles" histogram and a "comm.requests"
-// dwell track. Repeated calls on one system run back to back on the
-// engine's clock.
+// the fabric has drained, or the cycle limit is hit. When Attach was
+// given a Metrics registry or a Timeline, request latencies also feed a
+// "comm.request_latency_cycles" histogram and a "comm.requests" dwell
+// track. Repeated calls on one system run back to back on the engine's
+// clock.
 func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm.Result, error) {
 	if s.coord != nil {
 		return nil, fmt.Errorf("cluster: the comm runner registers global injectors and a shared tracker and needs the serial engine: run with Shards <= 1")
@@ -46,11 +46,11 @@ func (s *System) RunComm(p *comm.Plan, opt comm.Options, limit sim.Cycle) (*comm
 	opt = opt.WithDefaults()
 	opt.Start = s.Engine.Now()
 	opt.AddrOf = commAddr
-	if s.obsReg != nil && opt.Hist == nil {
-		opt.Hist = s.obsReg.Hist("comm.request_latency_cycles")
+	if s.sinks.Metrics != nil && opt.Hist == nil {
+		opt.Hist = s.sinks.Metrics.Hist("comm.request_latency_cycles")
 	}
-	if s.obsTL != nil && opt.Dwell == nil {
-		opt.Dwell = s.obsTL.NewDwellTrack("comm.requests")
+	if s.sinks.Timeline != nil && opt.Dwell == nil {
+		opt.Dwell = s.sinks.Timeline.NewDwellTrack("comm.requests")
 	}
 	tk := comm.NewTracker(p, opt)
 	for g := 0; g < p.GPUs; g++ {

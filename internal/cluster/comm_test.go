@@ -164,7 +164,7 @@ func TestRunCommObsWiring(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	tl := timeline.New(0)
-	sys.AttachObs(reg, nil, tl)
+	mustAttach(t, sys, Sinks{Metrics: reg, Timeline: tl})
 	r, err := sys.RunCommByName("serve-burst", comm.Tiny(), comm.Options{}, testLimit)
 	if err != nil {
 		t.Fatal(err)

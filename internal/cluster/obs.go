@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"netcrafter/internal/flit"
 	"netcrafter/internal/obs"
 	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/sim"
+	"netcrafter/internal/trace"
 )
 
 // obsWireWindow is the window of the per-controller ejected-bytes time
@@ -15,35 +17,54 @@ import (
 // behaviour.
 const obsWireWindow sim.Cycle = 1024
 
-// AttachObs wires the whole system into the metrics registry, the span
-// recorder and the event timeline. Any argument may be nil (a nil
-// registry yields nil instruments; a nil recorder leaves packet spans
-// off; a nil timeline records no events), so callers can enable each
-// independently. Call before running a workload; attaching mid-run only
-// affects what happens afterwards.
-//
-// The registry receives, per GPU, the latency histograms and pull
-// gauges of gpu.GPU.AttachObs; per controller, a residency histogram
-// (ncN.ctl_latency_cycles), a wire-bytes time series (ncN.wire_bytes)
-// and pull gauges over the controller's NetStats counters; and per
-// inter-cluster link direction, overall and active-window utilization
-// pull gauges.
-//
-// The timeline receives per-component execute slices from the engine's
-// tick probe, a windowed utilization track per link direction, an
-// occupancy track per controller cluster queue and per inter-link
-// endpoint buffer, and per-state dwell tracks from every cluster's
-// transaction table. Call Timeline.Finish after the run, then export
-// with WriteTrace / WriteHeatmap / WriteProfile.
-func (s *System) AttachObs(reg *obs.Registry, spans *obs.SpanRecorder, tl *timeline.Timeline) {
-	s.obsReg, s.obsTL = reg, tl
-	s.obsSpans = s.obsSpans || spans != nil
-	s.attachTimeline(tl)
+// Sinks are the observation channels a System can feed. Every field
+// may be nil: a nil sink records nothing and costs nothing, so callers
+// enable each independently.
+type Sinks struct {
+	// Trace receives wire-level controller events (ejections,
+	// stitches, trims, pooling) as JSON lines.
+	Trace *trace.Recorder
+	// Metrics receives, per GPU, the latency histograms and pull
+	// gauges of gpu.GPU.Attach; per controller, a residency histogram
+	// (ncN.ctl_latency_cycles), a wire-bytes time series
+	// (ncN.wire_bytes) and pull gauges over the controller's NetStats
+	// counters; and per inter-cluster link direction, overall and
+	// active-window utilization pull gauges. The comm runner adds its
+	// request-latency histogram here.
+	Metrics *obs.Registry
+	// Spans receives one lifecycle span per packet.
+	Spans *obs.SpanRecorder
+	// Timeline receives per-component execute slices from the engine's
+	// tick probe, a windowed utilization track per link direction, an
+	// occupancy track per controller cluster queue and per inter-link
+	// endpoint buffer, and per-state dwell tracks from every cluster's
+	// transaction table. Call Timeline.Finish after the run, then
+	// export with WriteTrace / WriteHeatmap / WriteProfile.
+	Timeline *timeline.Timeline
+}
+
+// errShardedSinks refuses sinks on a sharded system: every sink is
+// shared state written by components on every shard.
+var errShardedSinks = errors.New("cluster: observability sinks (metrics, spans, timeline, trace) are shared across components and need the serial engine: run with Shards <= 1")
+
+// Attach wires the system into k's sinks, replacing whatever an
+// earlier Attach wired; Attach(Sinks{}) detaches everything. Call
+// before running; attaching mid-run only affects what happens
+// afterwards. A sharded system (Config.Shards > 1) refuses any non-nil
+// sink before a cycle is simulated, and accepts Sinks{}.
+func (s *System) Attach(k Sinks) error {
+	if s.coord != nil && k != (Sinks{}) {
+		return errShardedSinks
+	}
+	s.sinks = k
+	s.attachTimeline(k.Timeline)
+	reg := k.Metrics
 	for _, g := range s.GPUs {
-		g.AttachObs(reg, spans)
+		g.Attach(reg, k.Spans)
 	}
 	for _, ctl := range s.Controllers {
 		ctl := ctl
+		ctl.Trace = k.Trace
 		p := ctl.Name + "."
 		ctl.ObsCtlLat = reg.Hist(p + "ctl_latency_cycles")
 		ctl.ObsWire = reg.Series(p+"wire_bytes", obsWireWindow)
@@ -78,9 +99,10 @@ func (s *System) AttachObs(reg *obs.Registry, spans *obs.SpanRecorder, tl *timel
 		reg.GaugeFunc(p+"active_util_a2b", func() float64 { return l.AtoB.ActiveUtilization() })
 		reg.GaugeFunc(p+"active_util_b2a", func() float64 { return l.BtoA.ActiveUtilization() })
 	}
+	return nil
 }
 
-// attachTimeline wires the event timeline (see AttachObs). A nil
+// attachTimeline wires the event timeline (see Sinks.Timeline). A nil
 // timeline detaches everything it would have attached.
 func (s *System) attachTimeline(tl *timeline.Timeline) {
 	tl.AttachEngine(s.Engine)

@@ -20,7 +20,7 @@ func TestSpansTileEndToEnd(t *testing.T) {
 	sys := mustBuild(t, WithNetCrafter())
 	reg := obs.NewRegistry()
 	rec := obs.NewSpanRecorder(&buf)
-	sys.AttachObs(reg, rec, nil)
+	mustAttach(t, sys, Sinks{Metrics: reg, Spans: rec})
 
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {
@@ -97,7 +97,7 @@ func TestTimelineEndToEnd(t *testing.T) {
 	cfg.Profile = true
 	sys := mustBuild(t, cfg)
 	tl := timeline.New(0)
-	sys.AttachObs(nil, nil, tl)
+	mustAttach(t, sys, Sinks{Timeline: tl})
 
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {
@@ -162,11 +162,11 @@ func TestTimelineEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAttachObsNilIsFree verifies runs with observability detached,
+// TestAttachNilIsFree verifies runs with observability detached,
 // nil-attached, and with the full timeline + profiler attached all
 // behave identically — the determinism guard for every observation
 // path: probes may watch the simulation but never steer it.
-func TestAttachObsNilIsFree(t *testing.T) {
+func TestAttachNilIsFree(t *testing.T) {
 	run := func(mode int) *Result {
 		cfg := WithNetCrafter()
 		if mode == 2 {
@@ -175,9 +175,9 @@ func TestAttachObsNilIsFree(t *testing.T) {
 		sys := mustBuild(t, cfg)
 		switch mode {
 		case 1:
-			sys.AttachObs(nil, nil, nil)
+			mustAttach(t, sys, Sinks{})
 		case 2:
-			sys.AttachObs(nil, nil, timeline.New(0))
+			mustAttach(t, sys, Sinks{Timeline: timeline.New(0)})
 		}
 		spec, err := workload.ByName("GUPS", workload.Tiny())
 		if err != nil {

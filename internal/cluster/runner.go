@@ -113,9 +113,6 @@ func waveSeed(seed uint64, kernel, cta, wave int) uint64 {
 // boundaries under software coherence). It returns the aggregated
 // result or an error if the cycle limit is exceeded.
 func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, error) {
-	if s.coord != nil && (s.obsReg != nil || s.obsTL != nil || s.obsSpans || s.traced) {
-		return nil, fmt.Errorf("cluster: observability sinks (metrics, spans, timeline, trace) are shared across components and need the serial engine: run with Shards <= 1")
-	}
 	s.Load(spec)
 	start := s.Engine.Now()
 	wallStart := s.simWall()
@@ -137,7 +134,7 @@ func (s *System) RunWorkload(spec *workload.Spec, limit sim.Cycle) (*Result, err
 	}
 	r := s.collect(spec.Name, s.Engine.Now()-start)
 	r.Wall = s.simWall() - wallStart
-	r.Components = s.profile()
+	r.Components = s.Profile()
 	return r, nil
 }
 
@@ -209,9 +206,6 @@ func (s *System) collect(name string, cycles sim.Cycle) *Result {
 // given scale, and returns the result — the top-level entry point used
 // by the benchmark harness and examples.
 func RunOne(cfg Config, name string, sc workload.Scale, limit sim.Cycle) (*Result, error) {
-	if cfg.Backend.Norm() != BackendCycle {
-		return nil, fmt.Errorf("cluster: workload %q needs the cycle backend: the flow backend models communication plans, not per-access memory traces", name)
-	}
 	spec, err := workload.ByName(name, sc)
 	if err != nil {
 		return nil, err

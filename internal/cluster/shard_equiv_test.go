@@ -3,9 +3,12 @@ package cluster
 import (
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netcrafter/internal/comm"
+	"netcrafter/internal/obs"
+	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/topo"
 	"netcrafter/internal/trace"
 	"netcrafter/internal/workload"
@@ -129,7 +132,9 @@ func TestShardClampsToClusters(t *testing.T) {
 }
 
 // TestShardRefusesObservability pins the loud refusal: shared
-// observability sinks require the serial engine.
+// observability sinks require the serial engine, so Attach refuses
+// every non-nil sink on a sharded system before a cycle is simulated,
+// while attaching nothing still succeeds and the run goes ahead.
 func TestShardRefusesObservability(t *testing.T) {
 	g, err := topo.Preset("frontier-4x2")
 	if err != nil {
@@ -137,14 +142,27 @@ func TestShardRefusesObservability(t *testing.T) {
 	}
 	cfg := WithNetCrafter().WithTopology(g)
 	cfg.Shards = 2
+	sys := mustBuild(t, cfg)
+	for name, k := range map[string]Sinks{
+		"trace":    {Trace: trace.NewRecorder(io.Discard)},
+		"metrics":  {Metrics: obs.NewRegistry()},
+		"spans":    {Spans: obs.NewSpanRecorder(nil)},
+		"timeline": {Timeline: timeline.New(0)},
+	} {
+		if err := sys.Attach(k); err == nil || !strings.Contains(err.Error(), "serial engine") {
+			t.Errorf("sharded Attach(%s) = %v, want a serial-engine refusal", name, err)
+		}
+	}
+	if now := sys.Engine.Now(); now != 0 {
+		t.Fatalf("refused Attach left the clock at %d", now)
+	}
+	mustAttach(t, sys, Sinks{})
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := mustBuild(t, cfg)
-	sys.AttachTrace(trace.NewRecorder(io.Discard))
-	if _, err := sys.RunWorkload(spec, 50_000_000); err == nil {
-		t.Fatal("sharded run with a trace recorder attached was not refused")
+	if _, err := sys.RunWorkload(spec, 50_000_000); err != nil {
+		t.Fatalf("sharded run with no sinks attached: %v", err)
 	}
 
 	sys = mustBuild(t, cfg)

@@ -20,12 +20,9 @@ import (
 	"netcrafter/internal/gpu"
 	"netcrafter/internal/lasp"
 	"netcrafter/internal/network"
-	"netcrafter/internal/obs"
-	"netcrafter/internal/obs/timeline"
 	"netcrafter/internal/shard"
 	"netcrafter/internal/sim"
 	"netcrafter/internal/topo"
-	"netcrafter/internal/trace"
 	"netcrafter/internal/txn"
 	"netcrafter/internal/vm"
 )
@@ -54,15 +51,15 @@ type Config struct {
 	Profile bool
 	// Backend selects the simulation fidelity ("" = BackendCycle).
 	// BackendFlow solves communication plans analytically
-	// (internal/flow) instead of building a ticked system; workload
-	// runs require the cycle backend.
+	// (internal/flow) instead of building a ticked system, so Build
+	// refuses it.
 	Backend Backend
 	// Shards partitions the simulation at cluster-boundary links and
 	// runs each partition's engine on its own goroutine (internal/
 	// shard), bit-identical to serial execution. 0 or 1 means serial;
 	// counts above the cluster count clamp down. Cycle backend only;
-	// shared observability sinks (obs, spans, timeline, trace) and the
-	// comm runner require Shards <= 1.
+	// a sharded System refuses observability sinks (Attach) and comm
+	// plans (RunComm), which need the serial engine.
 	Shards int
 }
 
@@ -216,23 +213,18 @@ type System struct {
 	nClusters int
 	alloc     *frameAlloc
 	rng       *sim.Rand
-	// obsReg/obsTL remember the AttachObs arguments so later layers
-	// (the comm runner) can wire their own instruments into the same
-	// sinks; commRuns counts RunComm invocations for unique component
-	// names.
-	obsReg   *obs.Registry
-	obsTL    *timeline.Timeline
+	// sinks remembers the Attach argument so later layers (the comm
+	// runner) can wire their own instruments into the same sinks;
+	// commRuns counts RunComm invocations for unique component names.
+	sinks    Sinks
 	commRuns int
 	// coord drives the shard engines in lockstep when Config.Shards
 	// partitioned the system (nil = serial); idleFns are the per-shard
 	// done predicates (each shard's GPUs drained), shardGPUs the GPU
-	// ownership behind them. obsSpans/traced record that shared
-	// observability sinks were attached, which sharded runs refuse.
+	// ownership behind them.
 	coord     *shard.Coordinator
 	idleFns   []func() bool
 	shardGPUs [][]*gpu.GPU
-	obsSpans  bool
-	traced    bool
 }
 
 // graphTopology implements gpu.Topology from the device list of a
@@ -244,8 +236,13 @@ func (t graphTopology) DeviceOf(g int) flit.DeviceID   { return flit.DeviceID(g)
 func (t graphTopology) ClusterOf(g int) flit.ClusterID { return t.clusters[g] }
 
 // Build validates the configuration and its topology and instantiates
-// the system.
+// the system. A System is the cycle backend's ticked engine, so any
+// other backend is refused: the flow backend solves communication
+// plans through RunCommPlan without building one.
 func Build(cfg Config) (*System, error) {
+	if b := cfg.Backend.Norm(); b != BackendCycle {
+		return nil, fmt.Errorf("cluster: Build needs the cycle backend: backend %q solves communication plans analytically (RunCommPlan) and has no ticked system for workloads, sinks or in-flight tables", b)
+	}
 	cfg, err := cfg.resolve()
 	if err != nil {
 		return nil, err
@@ -607,11 +604,12 @@ func (s *System) simWall() time.Duration {
 	return s.Engine.WallTime()
 }
 
-// profile returns the per-component host-time self-profile, merging the
+// Profile returns the per-component host-time self-profile of every
+// run so far (empty unless Config.Profile was set), merging the
 // per-shard engines' profiles when sharded (rows with the same name —
 // the per-shard schedulers — sum; order is host time descending, name
 // ascending, matching sim.Engine.Profile).
-func (s *System) profile() []sim.ComponentCost {
+func (s *System) Profile() []sim.ComponentCost {
 	if len(s.Engines) == 1 {
 		return s.Engine.Profile()
 	}
@@ -646,15 +644,6 @@ func (s *System) AllIdle() bool {
 		}
 	}
 	return true
-}
-
-// AttachTrace streams wire-level controller events (ejections,
-// stitches, trims, pooling) to the recorder; pass nil to stop.
-func (s *System) AttachTrace(rec *trace.Recorder) {
-	s.traced = rec != nil
-	for _, ctl := range s.Controllers {
-		ctl.Trace = rec
-	}
 }
 
 // InFlight returns the number of live transactions across all clusters.

@@ -16,6 +16,14 @@ import (
 const testLimit = sim.Cycle(30_000_000)
 
 // mustBuild builds cfg's system, failing the test on error.
+// mustAttach attaches k to sys, failing the test on a refusal.
+func mustAttach(t *testing.T, sys *System, k Sinks) {
+	t.Helper()
+	if err := sys.Attach(k); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustBuild(t *testing.T, cfg Config) *System {
 	t.Helper()
 	sys, err := Build(cfg)
@@ -333,7 +341,7 @@ func TestTraceRecordsWireEvents(t *testing.T) {
 	var buf strings.Builder
 	rec := trace.NewRecorder(&buf)
 	sys := mustBuild(t, WithNetCrafter())
-	sys.AttachTrace(rec)
+	mustAttach(t, sys, Sinks{Trace: rec})
 	spec, err := workload.ByName("GUPS", workload.Tiny())
 	if err != nil {
 		t.Fatal(err)

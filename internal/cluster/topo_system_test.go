@@ -319,3 +319,17 @@ func TestBuildRejectsBadTopologies(t *testing.T) {
 		t.Fatalf("RunOne on a single-cluster topology: err = %v", err)
 	}
 }
+
+// TestBuildRefusesFlowBackend pins the one backend check: a System is
+// the cycle backend's ticked engine, so Build refuses the flow backend,
+// and RunOne with it.
+func TestBuildRefusesFlowBackend(t *testing.T) {
+	cfg := WithNetCrafter()
+	cfg.Backend = BackendFlow
+	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "cycle backend") {
+		t.Fatalf("Build with the flow backend: err = %v, want a cycle-backend refusal", err)
+	}
+	if _, err := RunOne(cfg, "GUPS", workload.Tiny(), testLimit); err == nil || !strings.Contains(err.Error(), "cycle backend") {
+		t.Fatalf("RunOne with the flow backend: err = %v, want a cycle-backend refusal", err)
+	}
+}

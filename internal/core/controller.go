@@ -104,12 +104,12 @@ type Controller struct {
 	// ObsCtlLat, when non-nil, feeds per-flit controller residency
 	// (cluster queue + pooling) into the metrics registry; ObsWire
 	// samples ejected wire bytes into a cycle-windowed series. Both are
-	// wired by cluster.System.AttachObs and free when nil.
+	// wired by cluster.System.Attach and free when nil.
 	ObsCtlLat *obs.Hist
 	ObsWire   *obs.Series
 	// ObsOccupancy, when non-nil, samples the cluster-queue depth into
 	// a timeline occupancy track on every enqueue — the per-queue view
-	// of the congestion heatmap. Wired by cluster.System.AttachObs.
+	// of the congestion heatmap. Wired by cluster.System.Attach.
 	ObsOccupancy *timeline.Track
 
 	home      flit.ClusterID

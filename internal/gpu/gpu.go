@@ -32,7 +32,7 @@ type GPU struct {
 
 	// ObsL1MissLat, shared by this GPU's CUs, records the miss-to-fill
 	// latency of primary L1 misses (local and remote). Wired by
-	// AttachObs; nil costs nothing.
+	// Attach; nil costs nothing.
 	ObsL1MissLat *obs.Hist
 
 	// Work management.
@@ -74,12 +74,12 @@ func (g *GPU) Config() Config { return g.cfg }
 // Table returns the transaction table this GPU acquires from.
 func (g *GPU) Table() *txn.Table { return g.table }
 
-// AttachObs wires this GPU's components into the metrics registry and
+// Attach wires this GPU's components into the metrics registry and
 // the span recorder. Either argument may be nil: a nil registry yields
 // nil instruments (free no-ops) and a nil recorder leaves packet spans
 // disabled. Call before Run; attaching mid-run only affects packets and
 // samples produced afterwards.
-func (g *GPU) AttachObs(reg *obs.Registry, spans *obs.SpanRecorder) {
+func (g *GPU) Attach(reg *obs.Registry, spans *obs.SpanRecorder) {
 	g.RDMA.Spans = spans
 	p := g.Name + "."
 	g.ObsL1MissLat = reg.Hist(p + "l1.miss_latency_cycles")

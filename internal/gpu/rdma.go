@@ -71,7 +71,7 @@ type RDMA struct {
 	outstandingWrites int
 
 	// Spans, when non-nil, opens a lifecycle span on every packet this
-	// engine creates (see cluster.System.AttachObs). Nil costs nothing.
+	// engine creates (see cluster.System.Attach). Nil costs nothing.
 	Spans *obs.SpanRecorder
 
 	Stats RDMAStats

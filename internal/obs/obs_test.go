@@ -9,33 +9,8 @@ import (
 	"netcrafter/internal/sim"
 )
 
-func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a.b.count")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	if r.Counter("a.b.count") != c {
-		t.Fatal("Counter did not return the same instrument for the same name")
-	}
-	g := r.Gauge("a.b.gauge")
-	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", got)
-	}
-}
-
 func TestNilInstrumentsAreSafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 0 {
-		t.Fatal("nil counter should report 0")
-	}
-	r.Gauge("x").Set(1)
 	r.Hist("x").Observe(1)
 	r.Series("x", 10).Observe(5, 1)
 	r.GaugeFunc("x", func() float64 { return 1 })
@@ -278,8 +253,8 @@ func TestSeriesWindowRollover(t *testing.T) {
 
 func TestWritePromSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("net.flits").Add(42)
-	r.Gauge("net.util").Set(0.5)
+	r.GaugeFunc("net.flits", func() float64 { return 42 })
+	r.GaugeFunc("net.util", func() float64 { return 0.5 })
 	r.GaugeFunc("gpu0.l1.misses", func() float64 { return 7 })
 	h := r.Hist("net.ctl.latency")
 	h.Observe(10)
@@ -316,12 +291,13 @@ func TestWritePromSnapshot(t *testing.T) {
 
 // TestWritePromGolden pins the exact exposition-format output: one
 // # TYPE line per metric family, sanitized names (invalid bytes map to
-// '_', a leading digit gets a '_' prefix), quantile-labeled summaries
-// and window-labeled series — the contract a Prometheus scraper sees.
+// '_', a leading digit gets a '_' prefix), gauges in registry-name
+// order, quantile-labeled summaries and window-labeled series — the
+// contract a Prometheus scraper sees.
 func TestWritePromGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("net.flits-total").Add(42)
-	r.Gauge("weird name!").Set(0.5)
+	r.GaugeFunc("net.flits-total", func() float64 { return 42 })
+	r.GaugeFunc("weird name!", func() float64 { return 0.5 })
 	r.GaugeFunc("0starts.with.digit", func() float64 { return 7 })
 	h := r.Hist("ctl.lat")
 	h.Observe(10)
@@ -331,12 +307,12 @@ func TestWritePromGolden(t *testing.T) {
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `# TYPE net_flits_total counter
+	want := `# TYPE _0starts_with_digit gauge
+_0starts_with_digit 7
+# TYPE net_flits_total gauge
 net_flits_total 42
 # TYPE weird_name_ gauge
 weird_name_ 0.5
-# TYPE _0starts_with_digit gauge
-_0starts_with_digit 7
 # TYPE ctl_lat summary
 ctl_lat{quantile="0.5"} 12
 ctl_lat{quantile="0.9"} 20
@@ -384,8 +360,8 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				r.Counter("shared.count").Inc()
-				r.Gauge("shared.gauge").Set(float64(i))
+				v := float64(i)
+				r.GaugeFunc("shared.gauge", func() float64 { return v })
 				r.Hist("shared.hist").Observe(float64(i))
 				r.Series("shared.series", 64).Observe(sim.Cycle(i), 1)
 				s := rec.Start(uint64(w*iters+i), 0, "ReadReq", w, 0, sim.Cycle(i))
@@ -405,8 +381,8 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := r.Counter("shared.count").Value(); got != workers*iters {
-		t.Fatalf("counter = %d, want %d", got, workers*iters)
+	if got := r.Hist("shared.hist").Count(); got != workers*iters {
+		t.Fatalf("hist count = %d, want %d", got, workers*iters)
 	}
 	if got := rec.Spans(); got != workers*iters {
 		t.Fatalf("spans = %d, want %d", got, workers*iters)
@@ -421,7 +397,6 @@ func TestConcurrentRegistryAndSpans(t *testing.T) {
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var s *Span
 	var h *Hist
-	var c *Counter
 	var se *Series
 	var rec *SpanRecorder
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -431,7 +406,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 		s.To(StageCtlQueue, 5)
 		s.End(6)
 		h.Observe(3)
-		c.Inc()
 		se.Observe(7, 1)
 	})
 	if allocs != 0 {

@@ -105,7 +105,7 @@ const DefaultCapacity = 1 << 18
 
 // Timeline is the ring-buffered event recorder. Create with New,
 // attach with AttachEngine / the component wiring in
-// cluster.System.AttachObs, and export with WriteTrace or Heatmap
+// cluster.System.Attach, and export with WriteTrace or Heatmap
 // after the run.
 type Timeline struct {
 	events []Event

@@ -16,7 +16,7 @@ type LinkStats struct {
 	StallCycles    Counter // cycles a ready flit could not move
 	// Track, when non-nil, receives one observation per moved flit and
 	// windows them into the timeline's congestion heatmap. Wired by
-	// cluster.System.AttachObs; nil (the default) is free.
+	// cluster.System.Attach; nil (the default) is free.
 	Track         *timeline.Track
 	flitsPerCycle int
 	firstActive   sim.Cycle

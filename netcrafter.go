@@ -86,9 +86,6 @@ const (
 	BackendFlow  = cluster.BackendFlow
 )
 
-// Backends lists the valid backend names.
-func Backends() []string { return cluster.Backends() }
-
 // ParseBackend resolves a backend name ("" means cycle).
 func ParseBackend(s string) (Backend, error) { return cluster.ParseBackend(s) }
 
@@ -106,6 +103,12 @@ type Cycle = sim.Cycle
 // System is a built multi-GPU node; construct with BuildSystem for
 // fine-grained control, or use Run for the common case.
 type System = cluster.System
+
+// Sinks are the observation channels a System feeds — the wire trace,
+// the metrics registry, packet spans and the event timeline — wired
+// with System.Attach before a run. Any field may be nil; a sharded
+// System accepts only the empty Sinks{}.
+type Sinks = cluster.Sinks
 
 // Baseline returns the paper's Table-2 non-uniform system with the
 // NetCrafter controller disabled (a passthrough FIFO).
@@ -137,12 +140,13 @@ func Workloads() []string { return workload.Names() }
 
 // BuildSystem validates cfg and its Topology and builds the system for
 // repeated or incremental use, returning invalid-fabric problems as
-// errors.
+// errors. A System is the cycle backend's ticked engine: a cfg with
+// BackendFlow is refused (run its plans with RunCommPlanWith).
 func BuildSystem(cfg Config) (*System, error) { return cluster.Build(cfg) }
 
 // Topology is a declarative fabric graph: GPU devices, switches and
 // bandwidth-annotated links. Build one programmatically
-// (FrontierTopology, RingTopology, ...), load a preset or JSON spec
+// (FrontierTopology, PaperTopology), load a preset or JSON spec
 // file (LoadTopology), and instantiate it with Config.WithTopology —
 // a NetCrafter controller is spliced into every cluster-boundary link.
 type Topology = topo.Graph
@@ -156,9 +160,6 @@ func ParseTopology(data []byte) (*Topology, error) { return topo.Parse(data) }
 
 // TopologyPresets lists the named built-in topologies, sorted.
 func TopologyPresets() []string { return topo.Presets() }
-
-// TopologyPreset returns one named built-in topology.
-func TopologyPreset(name string) (*Topology, error) { return topo.Preset(name) }
 
 // FrontierTopology is the paper's Figure-2 node generalized to nGPUs
 // split evenly over nClusters; bandwidths are flits/cycle (8 = 128 GB/s
@@ -175,39 +176,6 @@ func FrontierTopology(nGPUs, nClusters, intraBW, interBW int, latency Cycle) *To
 // size or bandwidths rebuilds its fabric here.
 func PaperTopology(gpus, clusters, intraGBps, interGBps, flitBytes int) *Topology {
 	return cluster.PaperNode(gpus, clusters, intraGBps, interGBps, flitBytes)
-}
-
-// RingTopology joins nClusters clusters in a ring of interBW links.
-func RingTopology(nClusters, gpusPerCluster, intraBW, interBW int, latency Cycle) *Topology {
-	return topo.Ring(nClusters, gpusPerCluster, intraBW, interBW, latency)
-}
-
-// FullyConnectedTopology joins every cluster pair directly at interBW.
-func FullyConnectedTopology(nClusters, gpusPerCluster, intraBW, interBW int, latency Cycle) *Topology {
-	return topo.FullyConnected(nClusters, gpusPerCluster, intraBW, interBW, latency)
-}
-
-// FatTreeTopology builds a k-ary fat-tree scale-out fabric: k pods
-// (one GPU cluster each, k/2 edge + k/2 aggregation switches) under a
-// (k/2)^2-switch backbone core, with hostsPerEdge GPUs per edge switch
-// and bandwidth tapering host -> up -> core. Controllers land at every
-// taper point — the edge side of each edge-agg link and the agg side
-// of each agg-core link — not just the pod boundary (see
-// TopologyTaperPoints). FatTreeTopology(4, 8, 8, 4, 2, 1) is the
-// fattree-64 preset.
-func FatTreeTopology(k, hostsPerEdge, hostBW, upBW, coreBW int, latency Cycle) *Topology {
-	return topo.FatTree(k, hostsPerEdge, hostBW, upBW, coreBW, latency)
-}
-
-// DragonflyTopology builds a dragonfly(a, g, h) scale-out fabric: g
-// groups (one GPU cluster each) of a fully connected routers, h global
-// channels per router spread over the other groups (one cable per
-// group pair), and hostsPerRouter GPUs per router. Global links run at
-// globalBW < localBW, so every global link gets a controller at both
-// ends. DragonflyTopology(4, 8, 2, 2, 8, 2, 1) is the dragonfly-64
-// preset.
-func DragonflyTopology(routersPerGroup, nGroups, globalPerRouter, hostsPerRouter, localBW, globalBW int, latency Cycle) *Topology {
-	return topo.Dragonfly(routersPerGroup, nGroups, globalPerRouter, hostsPerRouter, localBW, globalBW, latency)
 }
 
 // TopologyTaperPoints counts a fabric's bandwidth taper points — the
@@ -237,8 +205,7 @@ func RunWithLimit(cfg Config, name string, sc Scale, limit Cycle) (*Result, erro
 }
 
 // RunOnSystem executes one workload on an already-built system — use
-// when attaching a trace recorder or running several workloads on one
-// instance.
+// when attaching sinks or running several workloads on one instance.
 func RunOnSystem(sys *System, name string, sc Scale, limit Cycle) (*Result, error) {
 	spec, err := workload.ByName(name, sc)
 	if err != nil {
@@ -249,7 +216,8 @@ func RunOnSystem(sys *System, name string, sc Scale, limit Cycle) (*Result, erro
 
 // CommPlan is a timed communication program: per-GPU send sequences
 // generated by a collective or serving builder (CommProgram), or
-// parsed from a JSONL trace (ParseCommTrace). Run one with RunComm.
+// parsed from a JSONL trace (ParseCommTrace). Run one with RunCommPlan
+// or RunCommPlanWith.
 type CommPlan = comm.Plan
 
 // CommScale parameterizes communication-program generation: message
@@ -277,13 +245,6 @@ func CommPrograms() []string { return comm.Names() }
 // scale.
 func CommProgram(name string, sc CommScale) (*CommPlan, error) { return comm.ByName(name, sc) }
 
-// RunComm builds a fresh system with cfg and executes the named
-// communication program over the real RDMA/fabric path (CommScale.GPUs
-// 0 means every GPU participates).
-func RunComm(cfg Config, name string, sc CommScale, limit Cycle) (*CommResult, error) {
-	return cluster.RunCommOne(cfg, name, sc, limit)
-}
-
 // RunCommPlan executes an explicit plan (generated or trace-parsed) on
 // an already-built system; repeated calls run back to back on the
 // system's clock.
@@ -308,15 +269,15 @@ func WriteCommTrace(w io.Writer, p *CommPlan) error { return comm.WritePlan(w, p
 func ParseCommTrace(r io.Reader) (*CommPlan, error) { return comm.ParsePlan(r) }
 
 // TraceRecorder streams wire-level controller events as JSON lines;
-// attach one with System.AttachTrace.
+// attach one with System.Attach(Sinks{Trace: rec}).
 type TraceRecorder = trace.Recorder
 
 // NewTraceRecorder creates a recorder writing to w.
 func NewTraceRecorder(w io.Writer) *TraceRecorder { return trace.NewRecorder(w) }
 
 // MetricsRegistry holds named counters, gauges, latency histograms and
-// cycle-windowed time series; attach one with System.AttachObs and
-// export it with Snapshot or WriteProm.
+// cycle-windowed time series; attach one with System.Attach (Sinks
+// field Metrics) and export it with Snapshot or WriteProm.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty registry.
@@ -324,31 +285,20 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // SpanRecorder collects per-packet lifecycle spans: every packet's
 // end-to-end latency attributed to the pipeline stages it crossed.
-// Attach one with System.AttachObs; w may be nil to aggregate without
-// streaming JSONL.
+// Attach one with System.Attach (Sinks field Spans); w may be nil to
+// aggregate without streaming JSONL.
 type SpanRecorder = obs.SpanRecorder
 
 // NewSpanRecorder creates a span recorder (w may be nil).
 func NewSpanRecorder(w io.Writer) *SpanRecorder { return obs.NewSpanRecorder(w) }
 
-// LatencyBreakdown is the per-type, per-stage aggregation of finished
-// spans; obtain one from SpanRecorder.Breakdown.
-type LatencyBreakdown = obs.Breakdown
-
-// SpanRecord is the JSONL export schema of one finished span.
-type SpanRecord = obs.SpanRecord
-
-// ReadSpans parses a JSONL span stream (lines of other kinds are
-// skipped, so a mixed trace file works too).
-func ReadSpans(r io.Reader) ([]SpanRecord, error) { return obs.ReadSpans(r) }
-
 // Timeline is the ring-buffered event timeline: per-component engine
 // execute slices, cycle-windowed link utilization and queue occupancy
 // tracks, and per-transaction state dwells. Attach one with
-// System.AttachObs, call Finish after the run, then export with
-// WriteTrace (Chrome Trace Event JSON, viewable in Perfetto /
-// chrome://tracing), WriteHeatmap (terminal congestion heatmap) and
-// WriteProfile (per-component host-time table).
+// System.Attach (Sinks field Timeline), call Finish after the run,
+// then export with WriteTrace (Chrome Trace Event JSON, viewable in
+// Perfetto / chrome://tracing), WriteHeatmap (terminal congestion
+// heatmap) and WriteProfile (per-component host-time table).
 type Timeline = timeline.Timeline
 
 // NewTimeline creates a timeline; capacity <= 0 selects the default
@@ -364,12 +314,6 @@ type ComponentCost = sim.ComponentCost
 func WriteComponentProfile(w io.Writer, costs []ComponentCost) error {
 	return timeline.WriteProfile(w, costs)
 }
-
-// MetricsReport renders a registry snapshot as a Report table.
-func MetricsReport(reg *MetricsRegistry) *Report { return bench.MetricsReport(reg) }
-
-// BreakdownReport renders a latency breakdown as a Report table.
-func BreakdownReport(b *LatencyBreakdown) *Report { return bench.BreakdownReport(b) }
 
 // Report is a regenerated table or figure.
 type Report = bench.Report

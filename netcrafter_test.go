@@ -93,7 +93,8 @@ func TestPublicAPIExperiment(t *testing.T) {
 }
 
 // TestPublicAPIRejectsBadFabrics checks a missing or single-cluster
-// fabric comes back as an error from the facade, never a panic.
+// fabric, and a flow-backend config (which has no ticked system), come
+// back as errors from BuildSystem and Run alike, never a panic.
 func TestPublicAPIRejectsBadFabrics(t *testing.T) {
 	one, err := netcrafter.ParseTopology([]byte(`{
 	  "name": "one",
@@ -104,12 +105,14 @@ func TestPublicAPIRejectsBadFabrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []netcrafter.Config{{}, netcrafter.Baseline().WithTopology(one)} {
+	flow := netcrafter.WithNetCrafter()
+	flow.Backend = netcrafter.BackendFlow
+	for _, cfg := range []netcrafter.Config{{}, netcrafter.Baseline().WithTopology(one), flow} {
 		if _, err := netcrafter.BuildSystem(cfg); err == nil {
-			t.Errorf("BuildSystem accepted fabric %v", cfg.Topo)
+			t.Errorf("BuildSystem accepted fabric %v on backend %q", cfg.Topo, cfg.Backend)
 		}
 		if _, err := netcrafter.Run(cfg, "GUPS", netcrafter.Tiny()); err == nil {
-			t.Errorf("Run accepted fabric %v", cfg.Topo)
+			t.Errorf("Run accepted fabric %v on backend %q", cfg.Topo, cfg.Backend)
 		}
 	}
 }
