@@ -27,6 +27,8 @@ func buildRingAllReduce(sc Scale) (*Plan, error) {
 	n := sc.GPUs
 	shards := splitBytes(sc.Bytes, n)
 	p := &Plan{Name: "ring-allreduce", GPUs: n}
+	// Each of the 2(N-1) steps sends every shard once.
+	p.Sends = presized(2 * (n - 1) * chunkedSum(shards, sc.ChunkBytes))
 	for s := 0; s < n-1; s++ {
 		for i := 0; i < n; i++ {
 			p.Sends = chunked(p.Sends, Send{
@@ -65,6 +67,7 @@ func buildTreeAllReduce(sc Scale) (*Plan, error) {
 	n := sc.GPUs
 	depth := treeLevel(n - 1)
 	p := &Plan{Name: "tree-allreduce", GPUs: n}
+	p.Sends = presized(2 * (n - 1) * chunks(sc.Bytes, sc.ChunkBytes))
 	// Reduce: a node at level l has all its children's contributions
 	// after step depth-l-1, so it sends at step depth-l.
 	for i := 1; i < n; i++ {
@@ -91,6 +94,7 @@ func buildAllToAll(sc Scale) (*Plan, error) {
 	n := sc.GPUs
 	shares := splitBytes(sc.Bytes, n-1)
 	p := &Plan{Name: "alltoall", GPUs: n}
+	p.Sends = presized(n * chunkedSum(shares, sc.ChunkBytes))
 	for k := 1; k < n; k++ {
 		for i := 0; i < n; i++ {
 			p.Sends = chunked(p.Sends, Send{
@@ -109,6 +113,7 @@ func buildAllToAll(sc Scale) (*Plan, error) {
 func buildPipeline(sc Scale) (*Plan, error) {
 	n := sc.GPUs
 	p := &Plan{Name: "pipeline", GPUs: n}
+	p.Sends = presized(sc.Micro * (n - 1) * chunks(sc.Bytes, sc.ChunkBytes))
 	for m := 0; m < sc.Micro; m++ {
 		for i := 0; i < n-1; i++ {
 			p.Sends = chunked(p.Sends, Send{
@@ -142,7 +147,10 @@ func buildTensor(sc Scale) (*Plan, error) {
 		return nil, fmt.Errorf("comm: tensor: no group size >= 2 divides %d GPUs", n)
 	}
 	shares := splitBytes(sc.Bytes, g-1)
+	// Every member of every group sends each of the g-1 shares once
+	// per layer.
 	p := &Plan{Name: "tensor", GPUs: n}
+	p.Sends = presized(sc.Layers * n * chunkedSum(shares, sc.ChunkBytes))
 	for l := 0; l < sc.Layers; l++ {
 		for base := 0; base < n; base += g {
 			for a := 0; a < g; a++ {

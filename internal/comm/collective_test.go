@@ -167,3 +167,24 @@ func TestSplitBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestSendsPresizedExactly pins every generator's up-front send count:
+// the plan fills the list it allocated exactly, so generation never
+// regrows it and never over-allocates.
+func TestSendsPresizedExactly(t *testing.T) {
+	scales := []Scale{Tiny(), Small(), {Bytes: 100_000, ChunkBytes: 3000, Micro: 3, Group: 3, Layers: 2}, {Bytes: 5 * LineBytes}}
+	for _, name := range Names() {
+		for _, n := range []int{2, 3, 6, 8} {
+			for i, sc := range scales {
+				sc.GPUs = n
+				p, err := ByName(name, sc)
+				if err != nil {
+					t.Fatalf("%s N=%d scale %d: %v", name, n, i, err)
+				}
+				if len(p.Sends) != cap(p.Sends) {
+					t.Errorf("%s N=%d scale %d: %d sends in a list sized for %d", name, n, i, len(p.Sends), cap(p.Sends))
+				}
+			}
+		}
+	}
+}

@@ -286,6 +286,31 @@ func splitBytes(total, n int) []int {
 	return out
 }
 
+// chunks returns how many sends chunked emits for a transfer of the
+// given size, so generators can size Plan.Sends exactly up front.
+func chunks(bytes, chunk int) int {
+	switch {
+	case bytes <= 0:
+		return 0
+	case chunk <= 0 || chunk >= bytes:
+		return 1
+	}
+	return (bytes + chunk - 1) / chunk
+}
+
+// chunkedSum is the chunk count of one transfer of each size.
+func chunkedSum(sizes []int, chunk int) int {
+	n := 0
+	for _, b := range sizes {
+		n += chunks(b, chunk)
+	}
+	return n
+}
+
+// presized returns an empty send list with room for n sends (none for a
+// negative n, which a nonsensical scale can produce).
+func presized(n int) []Send { return make([]Send, 0, max(n, 0)) }
+
 // chunked appends the send split into ChunkBytes pieces (same step, so
 // chunks of one logical transfer pipeline freely within the step).
 func chunked(sends []Send, s Send, chunk int) []Send {

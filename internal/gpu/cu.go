@@ -80,8 +80,8 @@ func (cu *CU) start(prog workload.Program, now sim.Cycle) {
 
 // Continuation roles a CU parks on its transactions.
 const (
-	// cuRoleIssue — the coalescer delay (or a TLB-reject poll interval)
-	// elapsed; attempt the translation.
+	// cuRoleIssue — the coalescer delay elapsed; attempt the
+	// translation.
 	cuRoleIssue uint16 = iota
 	// cuRoleRouted — translation resolved into t.Base; compute the
 	// physical address and route to the load or store path.
@@ -173,20 +173,38 @@ func (cu *CU) step(wf *wavefront, now sim.Cycle) {
 }
 
 // issue attempts the access's translation; a rejection (TLB MSHRs full)
-// re-arms the same role as a 4-cycle poll. Counters match the old
-// recursive poll closure: LineAccesses per attempt, Retries per
-// rejection.
+// parks the access in a poll group that retries it every
+// sim.PollInterval cycles (see Poll).
 func (cu *CU) issue(t *txn.Transaction, now sim.Cycle) {
+	if !cu.Poll(t, now) {
+		cu.sched.Park(cu, t, now)
+	}
+}
+
+// Poll implements sim.Poller: one translation attempt for an access,
+// counted in LineAccesses, and in Retries when the L1 TLB rejects it.
+func (cu *CU) Poll(ref any, now sim.Cycle) bool {
+	t := ref.(*txn.Transaction)
 	cu.Stats.LineAccesses.Inc()
 	t.Push(cu, cuRoleRouted, 0, nil)
 	if cu.L1TLB.Translate(t, now) {
-		return
+		return true
 	}
 	t.Drop()
 	cu.Stats.Retries.Inc()
-	t.Push(cu, cuRoleIssue, 0, nil)
-	t.CompleteAfter(cu.sched, now, 4)
+	return false
 }
+
+// Stalled implements sim.Poller: n attempts the L1 TLB rejected.
+func (cu *CU) Stalled(n int) {
+	cu.Stats.LineAccesses.Add(int64(n))
+	cu.Stats.Retries.Add(int64(n))
+	cu.L1TLB.Stalled(n)
+}
+
+// Version implements sim.Poller: an attempt fails only on the L1 TLB's
+// reject, so the TLB's version decides it.
+func (cu *CU) Version() uint64 { return cu.L1TLB.Version() }
 
 // routed runs once translation resolved: compute the physical address
 // and take the load or store path.

@@ -40,8 +40,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
-	"sort"
 	"time"
 )
 
@@ -145,8 +145,12 @@ type Engine struct {
 	// hot holds the registration indices of hint-less tickers, which
 	// are due on every processed cycle.
 	hot []int
-	// due is per-round scratch, reused across rounds.
-	due []int
+	// dueBits marks, by registration index, the tickers due in the
+	// current round; walking it word by word ticks them in
+	// registration order without a sort. dueLo..dueHi bound the words
+	// touched this round.
+	dueBits      []uint64
+	dueLo, dueHi int
 
 	// rounds counts processed tick rounds. The old tick-everything loop
 	// ticked every component once per round, so "ticks seen" was this
@@ -195,6 +199,9 @@ func (e *Engine) Register(name string, t Ticker) *Waker {
 	h, _ := t.(WakeHinter)
 	e.hints = append(e.hints, h)
 	e.wakeAt = append(e.wakeAt, CycleMax)
+	if idx>>6 >= len(e.dueBits) {
+		e.dueBits = append(e.dueBits, 0)
+	}
 	if h == nil {
 		e.hot = append(e.hot, idx)
 	} else {
@@ -274,8 +281,8 @@ func (e *Engine) Step() bool {
 // components, tick them in registration order, re-arm each from its
 // hint.
 func (e *Engine) round() bool {
-	due := e.due[:0]
-	// In-place filter: due entries move to due and disarm; entries
+	e.dueLo, e.dueHi = len(e.dueBits), -1
+	// In-place filter: due entries are marked and disarmed; entries
 	// armed for a future cycle (an arm made outside a round — e.g. a
 	// queue push between RunUntil calls — lands at now+1 relative to
 	// its own arm time, which can still be ahead of this round) are
@@ -283,7 +290,7 @@ func (e *Engine) round() bool {
 	keep := e.near[:0]
 	for _, idx := range e.near {
 		if e.wakeAt[idx] <= e.now {
-			due = append(due, idx)
+			e.markDue(idx)
 			// Disarm while ticking; signals received during the round
 			// and the post-tick re-arm both go through arm().
 			e.wakeAt[idx] = CycleMax
@@ -295,35 +302,42 @@ func (e *Engine) round() bool {
 	for len(e.heap) > 0 && e.heap[0].at <= e.now {
 		ent := e.heapPop()
 		if e.wakeAt[ent.idx] == ent.at {
-			due = append(due, ent.idx)
+			e.markDue(ent.idx)
 			e.wakeAt[ent.idx] = CycleMax
 		}
 	}
-	due = append(due, e.hot...)
-	if len(due) > 1 {
-		sort.Ints(due)
+	for _, idx := range e.hot {
+		e.markDue(idx)
 	}
-	e.due = due
 
+	// Ticks only arm (near and heap), never mark, so each word can be
+	// taken and cleared before its tickers run.
 	busy := false
-	for _, idx := range due {
-		var b bool
-		if e.observed {
-			b = e.tickObserved(idx)
-		} else {
-			b = e.tickers[idx].Tick(e.now)
-		}
-		if b {
-			busy = true
-		}
-		if h := e.hints[idx]; h != nil {
-			w := h.NextWake(e.now)
-			if w <= e.now {
-				// Work is pending but blocked (or already handled this
-				// round); one tick per cycle, so next chance is now+1.
-				w = e.now + 1
+	for wi := e.dueLo; wi <= e.dueHi; wi++ {
+		word := e.dueBits[wi]
+		e.dueBits[wi] = 0
+		for word != 0 {
+			idx := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			var b bool
+			if e.observed {
+				b = e.tickObserved(idx)
+			} else {
+				b = e.tickers[idx].Tick(e.now)
 			}
-			e.arm(idx, w)
+			if b {
+				busy = true
+			}
+			if h := e.hints[idx]; h != nil {
+				w := h.NextWake(e.now)
+				if w <= e.now {
+					// Work is pending but blocked (or already handled
+					// this round); one tick per cycle, so next chance
+					// is now+1.
+					w = e.now + 1
+				}
+				e.arm(idx, w)
+			}
 		}
 	}
 	e.rounds++
@@ -441,6 +455,18 @@ func (e *Engine) Throughput() float64 {
 		return 0
 	}
 	return float64(e.now) / e.wall.Seconds()
+}
+
+// markDue adds ticker idx to the current round's due set.
+func (e *Engine) markDue(idx int) {
+	w := idx >> 6
+	e.dueBits[w] |= 1 << (idx & 63)
+	if w < e.dueLo {
+		e.dueLo = w
+	}
+	if w > e.dueHi {
+		e.dueHi = w
+	}
 }
 
 // heapPush inserts an entry into the wake min-heap (ordered by cycle,

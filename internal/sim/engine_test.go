@@ -146,3 +146,18 @@ func TestEngineComponents(t *testing.T) {
 		t.Fatalf("Components = %d", e.Components())
 	}
 }
+
+// TestEngineSignalHintlessTicksOnce: a hint-less ticker is due every
+// round already, so a Signal must not make it tick twice in the next
+// one.
+func TestEngineSignalHintlessTicksOnce(t *testing.T) {
+	e := NewEngine()
+	h := &hotTicker{}
+	e.Register("h", h)
+	e.Signal(h) // arms it for the next cycle, when it is due anyway
+	e.Step()
+	e.Step()
+	if h.ticks != 2 {
+		t.Fatalf("signalled hint-less ticker ticked %d times in two rounds, want 2", h.ticks)
+	}
+}

@@ -30,13 +30,87 @@ func BenchmarkSchedulerClusteredEvents(b *testing.B) {
 	e := NewEngine()
 	e.Register("s", s)
 	nop := func(Cycle) {}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		now := e.Now()
 		// Typical shape: many events landing on few distinct cycles.
-		for j := 0; j < 16; j++ {
-			s.After(now, Cycle(1+j%4*25), nop)
-		}
-		e.Step()
+		clusteredStep(s, e, nop)
+	}
+}
+
+// clusteredStep is one cycle of BenchmarkSchedulerClusteredEvents'
+// shape: sixteen events landing on four distinct future cycles.
+func clusteredStep(s *Scheduler, e *Engine, fn func(Cycle)) {
+	now := e.Now()
+	for j := 0; j < 16; j++ {
+		s.After(now, Cycle(1+j%4*25), fn)
+	}
+	e.Step()
+}
+
+// TestSchedulerSteadyStateNoAllocs pins the scheduler's steady state at
+// zero allocations: once bucket slices and the pending-cycle heap have
+// grown to the working set, scheduling and draining reuse them.
+func TestSchedulerSteadyStateNoAllocs(t *testing.T) {
+	s := NewScheduler()
+	e := NewEngine()
+	e.Register("s", s)
+	nop := func(Cycle) {}
+	for i := 0; i < 256; i++ {
+		clusteredStep(s, e, nop)
+	}
+	if a := testing.AllocsPerRun(1000, func() { clusteredStep(s, e, nop) }); a != 0 {
+		t.Fatalf("steady-state scheduling allocates %.2f per cycle, want 0", a)
+	}
+}
+
+// fullOwner rejects every poll and never changes: the steady state of
+// requests stalled on a full MSHR file.
+type fullOwner struct{ stalls int }
+
+func (o *fullOwner) Poll(any, Cycle) bool { o.stalls++; return false }
+func (o *fullOwner) Stalled(n int)        { o.stalls += n }
+func (o *fullOwner) Version() uint64      { return 0 }
+
+// newPollStorm parks 64 requests on one fullOwner.
+func newPollStorm() (*Engine, *fullOwner) {
+	s := NewScheduler()
+	e := NewEngine()
+	e.Register("s", s)
+	o := &fullOwner{}
+	refs := make([]int, 64)
+	for i := range refs {
+		s.Park(o, &refs[i], 0)
+	}
+	return e, o
+}
+
+// BenchmarkSchedulerPollStorm measures one poll interval of 64 stalled
+// requests whose owner has not changed: a single group entry, charged
+// with one Stalled call. Reported per poll interval.
+func BenchmarkSchedulerPollStorm(b *testing.B) {
+	e, o := newPollStorm()
+	e.Run(PollInterval) // up to the first poll, at cycle PollInterval
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run(PollInterval)
+	}
+	b.StopTimer()
+	if want := 64 * b.N; o.stalls != want {
+		b.Fatalf("%d stalls, want %d", o.stalls, want)
+	}
+}
+
+// TestSchedulerPollStormNoAllocs pins BenchmarkSchedulerPollStorm's
+// steady state at zero allocations.
+func TestSchedulerPollStormNoAllocs(t *testing.T) {
+	e, o := newPollStorm()
+	e.Run(16 * PollInterval) // polls at cycles 4, 8, …, 60
+	if a := testing.AllocsPerRun(1000, func() { e.Run(PollInterval) }); a != 0 {
+		t.Fatalf("a parked poll interval allocates %.2f, want 0", a)
+	}
+	if want := 64 * (15 + 1001); o.stalls != want {
+		t.Fatalf("%d stalls, want %d", o.stalls, want)
 	}
 }
 

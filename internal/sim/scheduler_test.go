@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSchedulerAfterClampsToOneCycle(t *testing.T) {
@@ -154,5 +155,14 @@ func TestQueueInterleavedRemoveAt(t *testing.T) {
 	}
 	if len(seen) != 200 {
 		t.Fatalf("drained %d of 200", len(seen))
+	}
+}
+
+// TestSchedulerEntrySize pins a bucket slot at two words — a closure or
+// a poll group — so growing the entry cannot silently grow every
+// bucket's allocation.
+func TestSchedulerEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 16 {
+		t.Fatalf("scheduler entry is %d bytes, want at most 16", n)
 	}
 }

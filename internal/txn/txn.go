@@ -22,6 +22,13 @@
 // frame stack; a released transaction must never be touched, and every
 // accessor panics if it is.
 //
+// A request stalled on a full resource is the exception to "the top
+// frame names the owner": it is parked in a sim.Scheduler poll group
+// whose Poller owns it until it is accepted, and it carries no frame
+// for the wait. While parked, the depth= that the in-flight dump and
+// the watchdog print counts only the frames of the layers waiting
+// above it, one fewer than a pending scheduled step would show.
+//
 // Concurrency: tables and transactions are engine-local,
 // single-goroutine state. A Table belongs to the cluster.System that
 // created it and is only touched from that system's engine tick loop

@@ -115,7 +115,11 @@ type TLB struct {
 	mshr  *cache.MSHR[*txn.Transaction]
 	below Translator
 	sched *sim.Scheduler
-	Stats TLBStats
+	// version counts changes to the set of pages the MSHR file tracks:
+	// the state that decides whether Translate rejects a request (see
+	// Version).
+	version uint64
+	Stats   TLBStats
 }
 
 // NewTLB builds a TLB that resolves misses through below, scheduling
@@ -135,9 +139,6 @@ func NewTLB(name string, cfg TLBConfig, below Translator, sched *sim.Scheduler) 
 const (
 	// tlbRoleLookup — the latent array probe after Translate accepts.
 	tlbRoleLookup uint16 = iota
-	// tlbRoleRetry — 4-cycle poll re-entering Translate after an MSHR
-	// stall.
-	tlbRoleRetry
 	// tlbRoleFill — the level below resolved the primary miss; insert
 	// and wake all merged waiters. Arg is the VPN.
 	tlbRoleFill
@@ -169,14 +170,6 @@ func (t *TLB) OnComplete(tr *txn.Transaction, f txn.Frame, at sim.Cycle) {
 	switch f.Role {
 	case tlbRoleLookup:
 		t.lookup(tr, at)
-	case tlbRoleRetry:
-		// Timing matches the old self-rescheduling poll closure: first
-		// attempt 4 cycles after the stall, then every 4 cycles until
-		// Translate accepts.
-		if !t.Translate(tr, at) {
-			tr.Push(t, tlbRoleRetry, 0, nil)
-			tr.CompleteAfter(t.sched, at, 4)
-		}
 	case tlbRoleFill:
 		t.fill(tr, f.Arg, at)
 	case tlbRoleIssueRetry:
@@ -197,15 +190,31 @@ func (t *TLB) lookup(tr *txn.Transaction, at sim.Cycle) {
 	case cache.Merged:
 		return
 	case cache.Stalled:
-		// Race: filled up since the pre-check. Retry shortly.
+		// Race: filled up since the pre-check. Re-enter Translate
+		// every sim.PollInterval cycles until it accepts.
 		t.Stats.Stalls.Inc()
-		tr.Push(t, tlbRoleRetry, 0, nil)
-		tr.CompleteAfter(t.sched, at, 4)
+		t.sched.Park(t, tr, at)
 		return
 	}
+	t.version++
 	tr.Push(t, tlbRoleFill, vpn, nil)
 	t.tryBelow(tr, vpn, at)
 }
+
+// Poll implements sim.Poller for requests parked after an MSHR stall:
+// re-enter Translate.
+func (t *TLB) Poll(ref any, now sim.Cycle) bool {
+	return t.Translate(ref.(*txn.Transaction), now)
+}
+
+// Stalled implements sim.Poller: n Translate rejects.
+func (t *TLB) Stalled(n int) { t.Stats.Stalls.Add(int64(n)) }
+
+// Version implements sim.Poller. Translate rejects a request iff the
+// MSHR file is full and not tracking the request's page, so only a
+// primary Allocate or a Release, which change the tracked pages, can
+// turn a reject into an accept; merged and stalled allocations cannot.
+func (t *TLB) Version() uint64 { return t.version }
 
 func (t *TLB) tryBelow(tr *txn.Transaction, vpn uint64, now sim.Cycle) {
 	if !t.below.Translate(tr, now) {
@@ -221,6 +230,7 @@ func (t *TLB) tryBelow(tr *txn.Transaction, vpn uint64, now sim.Cycle) {
 func (t *TLB) fill(tr *txn.Transaction, vpn uint64, at sim.Cycle) {
 	base := tr.Base
 	t.arr.insert(vpn, base)
+	t.version++
 	waiters, _, _ := t.mshr.Release(vpn)
 	for _, w := range waiters {
 		w.Base = base

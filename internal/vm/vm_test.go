@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -373,5 +374,79 @@ func TestTLBStallWhenMSHRFull(t *testing.T) {
 	}
 	if tlb.Stats.Stalls.Value() == 0 {
 		t.Fatal("stall not counted")
+	}
+}
+
+// slowBelow answers after a fixed delay and rejects every third offer,
+// so the TLB's own issue-retry path runs alongside its MSHR stalls.
+type slowBelow struct {
+	sched  *sim.Scheduler
+	delay  sim.Cycle
+	offers int
+}
+
+func (b *slowBelow) Translate(t *txn.Transaction, now sim.Cycle) bool {
+	b.offers++
+	if b.offers%3 == 0 {
+		return false
+	}
+	b.sched.After(now, b.delay, func(at sim.Cycle) {
+		t.Base = VPN(t.VAddr) * PageBytes
+		t.Complete(at)
+	})
+	return true
+}
+
+// TestTLBMSHRFullStorm drives a two-entry MSHR TLB with bursts of
+// same-cycle misses. Whole bursts pass Translate's pre-check and then
+// race for the MSHRs in the lookup, so most requests park and re-poll
+// while later bursts are rejected up front and retried by the caller
+// every four cycles. The counters and every request's completion cycle
+// are pinned: they were recorded when each stalled request still
+// re-polled through its own scheduled retry frame, and parking stalled
+// requests in poll groups must not move any of them.
+func TestTLBMSHRFullStorm(t *testing.T) {
+	e := sim.NewEngine()
+	sched := sim.NewScheduler()
+	e.Register("sched", sched)
+	cfg := L1TLBConfig()
+	cfg.MSHRs = 2
+	tlb := NewTLB("tlb", cfg, &slowBelow{sched: sched, delay: 23}, sched)
+	tb := txn.NewTable("test")
+
+	const n = 36
+	doneAt := make([]sim.Cycle, n)
+	finished := 0
+	var offer func(tr *txn.Transaction, now sim.Cycle)
+	offer = func(tr *txn.Transaction, now sim.Cycle) {
+		if !tlb.Translate(tr, now) {
+			sched.After(now, 4, func(at sim.Cycle) { offer(tr, at) })
+		}
+	}
+	for i := 0; i < n; i++ {
+		i := i
+		// Bursts of 12 at cycles 0, 5 and 31; pages repeat within and
+		// across bursts, so merges and hits mix with the stalls.
+		at := []sim.Cycle{0, 5, 31}[i/12]
+		tr := transReq(tb, uint64(i*7%10), func(_ uint64, done sim.Cycle) {
+			doneAt[i] = done
+			finished++
+		})
+		sched.At(at, func(now sim.Cycle) { offer(tr, now) })
+	}
+	if _, err := e.RunUntil(func() bool { return finished == n }, 100000); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Live() != 0 {
+		t.Fatalf("%d transactions leaked", tb.Live())
+	}
+	st := &tlb.Stats
+	got := fmt.Sprintf("accesses=%d hits=%d misses=%d stalls=%d done=%v",
+		st.Accesses.Value(), st.Hits.Value(), st.Misses.Value(), st.Stalls.Value(), doneAt)
+	const want = "accesses=93 hits=2 misses=91 stalls=347 done=[" +
+		"24 24 53 49 78 79 108 104 133 134 24 24 53 49 78 79 108 104 133 134 " +
+		"24 24 53 49 78 79 108 104 133 134 52 52 53 49 78 79]"
+	if got != want {
+		t.Fatalf("storm moved:\n got %s\nwant %s", got, want)
 	}
 }
