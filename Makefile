@@ -46,8 +46,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/obs/ ./...
 
 # The engine/queue/scheduler/fabric hot-path micro-benchmarks that the
-# wake-scheduled engine work is measured by, plus the flow backend's
-# network compile on fattree-512. `bench-micro` gives real numbers;
+# wake-scheduled engine work is measured by, the flit path's
+# segmentation, stitching, reassembly and NetCrafter controller, plus
+# the flow backend's network compile on fattree-512. `bench-micro` gives real numbers;
 # `bench-micro-smoke` (in ci) just proves they still compile, run, and
 # hold their 0 allocs/op pins (the compile allocates by design and has
 # no pin).
@@ -64,6 +65,10 @@ bench-micro:
 		-benchmem -count=3 ./internal/shard
 	$(GO) test -run='^$$' -bench='BenchmarkNewNetwork' \
 		-benchmem -count=3 ./internal/flow
+	$(GO) test -run='^$$' -bench='BenchmarkSegment|BenchmarkStitch|BenchmarkReassemble' \
+		-benchmem -count=3 ./internal/flit
+	$(GO) test -run='^$$' -bench='BenchmarkController' \
+		-benchmem -count=3 ./internal/core
 
 bench-micro-smoke:
 	$(GO) test -run='NoAllocs' -bench='BenchmarkEngine|BenchmarkQueue|BenchmarkScheduler' \
@@ -78,6 +83,10 @@ bench-micro-smoke:
 		-benchmem -count=1 -benchtime=100x ./internal/shard
 	$(GO) test -run='^$$' -bench='BenchmarkNewNetwork' \
 		-benchmem -count=1 -benchtime=1x ./internal/flow
+	$(GO) test -run='NoAllocs|OneBlock' -bench='BenchmarkSegment|BenchmarkStitch|BenchmarkReassemble' \
+		-benchmem -count=1 -benchtime=100x ./internal/flit
+	$(GO) test -run='NoAllocs|TrimAllocs' -bench='BenchmarkController' \
+		-benchmem -count=1 -benchtime=100x ./internal/core
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopoParse -fuzztime=5s -run='^$$' ./internal/topo

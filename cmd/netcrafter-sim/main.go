@@ -211,7 +211,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if *intra > 0 {
 			intraGBps = *intra
 		}
-		cfg = cfg.WithTopology(netcrafter.PaperTopology(4, 2, intraGBps, interGBps, cfg.NetCrafter.FlitBytes))
+		node, err := netcrafter.PaperTopology(4, 2, intraGBps, interGBps, cfg.NetCrafter.FlitBytes)
+		if err != nil {
+			return fail(err)
+		}
+		cfg = cfg.WithTopology(node)
 	}
 	cfg.Seed = *seed
 	cfg.Profile = *prof

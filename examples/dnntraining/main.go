@@ -33,7 +33,11 @@ func main() {
 
 	// A what-if: would a faster inter-cluster link help more than
 	// NetCrafter? Compare against a hardware upgrade to 32 GB/s.
-	fast := netcrafter.Baseline().WithTopology(netcrafter.PaperTopology(4, 2, 128, 32, 16))
+	node, err := netcrafter.PaperTopology(4, 2, 128, 32, 16)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fast := netcrafter.Baseline().WithTopology(node)
 	base, err := netcrafter.Run(netcrafter.Baseline(), "VGG16", sc)
 	if err != nil {
 		log.Fatal(err)

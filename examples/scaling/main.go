@@ -22,7 +22,10 @@ func main() {
 		"clusters", "gpus", "baseline", "netcrafter", "speedup", "link-busy")
 	for _, clusters := range []int{2, 4} {
 		gpus := 2 * clusters
-		node := netcrafter.PaperTopology(gpus, clusters, 128, 16, 16)
+		node, err := netcrafter.PaperTopology(gpus, clusters, 128, 16, 16)
+		if err != nil {
+			log.Fatal(err)
+		}
 		base := netcrafter.Baseline().WithTopology(node)
 		nc := netcrafter.WithNetCrafter().WithTopology(node)
 

@@ -43,7 +43,10 @@ func main() {
 	fmt.Println("\nbandwidth sensitivity (full NetCrafter):")
 	fmt.Printf("%12s %12s\n", "intra:inter", "speedup")
 	for _, bw := range [][2]int{{128, 16}, {128, 32}, {128, 64}, {256, 32}, {512, 64}, {32, 32}} {
-		node := netcrafter.PaperTopology(4, 2, bw[0], bw[1], 16)
+		node, err := netcrafter.PaperTopology(4, 2, bw[0], bw[1], 16)
+		if err != nil {
+			log.Fatal(err)
+		}
 		b := netcrafter.Baseline().WithTopology(node)
 		n := netcrafter.WithNetCrafter().WithTopology(node)
 		rb := run(b, wl, sc)

@@ -74,7 +74,9 @@ type partition struct {
 
 // trimState tracks an in-flight read response being trimmed: original
 // flits are absorbed and the re-segmented (shorter) flit train is
-// released once the flit carrying the needed sector has arrived.
+// released once the flit carrying the needed sector has arrived. Only
+// packets whose flits are interleaving at the controller are in flight,
+// so the controller keeps them in a short slice searched by packet.
 type trimState struct {
 	pkt        *flit.Packet
 	releaseSeq int // original flit index whose arrival releases the trimmed train
@@ -112,13 +114,17 @@ type Controller struct {
 	// of the congestion heatmap. Wired by cluster.System.Attach.
 	ObsOccupancy *timeline.Track
 
-	home      flit.ClusterID
-	parts     []*partition
-	partIdx   map[partKey]int
-	perDst    map[flit.ClusterID]int // flits queued per destination cluster
+	home  flit.ClusterID
+	parts []*partition
+	// partIdx[dst*numClasses+class] indexes parts, -1 when that
+	// partition has not been created yet. Partitions are created in
+	// first-seen order, which fixes the round-robin and stitch search
+	// order.
+	partIdx   []int32
+	perDst    []int // flits queued per destination cluster
 	perDstCap int
 	rr        int
-	trims     map[uint64]*trimState
+	trims     []trimState
 	// dataPrioTokens implements SeqDataEqual: one data flit is
 	// prioritized for every PTW flit that entered the queue.
 	dataPrioTokens int
@@ -139,10 +145,7 @@ func NewController(name string, home flit.ClusterID, remoteClusters int, cfg Con
 		Remote:    network.NewPort(name+".remote", cfg.CQEntries),
 		Net:       stats.NewNetStats(),
 		home:      home,
-		partIdx:   make(map[partKey]int),
-		perDst:    make(map[flit.ClusterID]int),
 		perDstCap: cfg.CQEntries / remoteClusters,
-		trims:     make(map[uint64]*trimState),
 	}
 }
 
@@ -175,7 +178,7 @@ func (c *Controller) tickIngress(now sim.Cycle) bool {
 			break
 		}
 		c.Remote.In.PopReady() // readiness established by Peek above
-		if len(in.Stitched) > 0 {
+		if len(in.Stitched) > 0 && c.Trace != nil {
 			c.Trace.Record(trace.FlitEvent(trace.KindUnstitch, c.Name, now, in))
 		}
 		for _, item := range flit.Unstitch(in) {
@@ -198,8 +201,7 @@ func (c *Controller) tickIntake(now sim.Cycle) bool {
 		if !ok {
 			break
 		}
-		dst := f.Pkt.DstCluster
-		if c.perDst[dst] >= c.perDstCap {
+		if c.queuedFor(f.Pkt.DstCluster) >= c.perDstCap {
 			break // back-pressure into the cluster switch
 		}
 		c.Local.In.PopReady() // readiness established by Peek above
@@ -230,8 +232,8 @@ func (c *Controller) intakeTrim(f *flit.Flit, now sim.Cycle) bool {
 	if !p.TrimEligible {
 		return false
 	}
-	ts := c.trims[p.ID]
-	if ts == nil {
+	ti := c.trimIndex(p)
+	if ti < 0 {
 		if p.Trimmed {
 			// Already trimmed upstream (e.g. sector-cache mode
 			// pre-trims at the home GPU); nothing to do here.
@@ -243,13 +245,14 @@ func (c *Controller) intakeTrim(f *flit.Flit, now sim.Cycle) bool {
 			g = flit.SectorBytes
 		}
 		endByte := p.HeaderBytes() + (int(p.SectorOffset)+1)*g - 1
-		ts = &trimState{
+		ti = len(c.trims)
+		c.trims = append(c.trims, trimState{
 			pkt:        p,
 			releaseSeq: endByte / f.Size,
 			origCount:  origCount,
-		}
-		c.trims[p.ID] = ts
+		})
 	}
+	ts := &c.trims[ti]
 	ts.seen++
 	if !ts.released && f.Seq >= ts.releaseSeq {
 		if p.Type == flit.WriteReq {
@@ -263,15 +266,57 @@ func (c *Controller) intakeTrim(f *flit.Flit, now sim.Cycle) bool {
 		}
 		c.Net.PacketsTrimmed.Inc()
 		c.Net.FlitsTrimmed.Add(int64(ts.origCount - len(trimmed)))
-		c.Trace.Record(trace.Event{Cycle: int64(now), Kind: trace.KindTrim, Where: c.Name,
-			PacketID: p.ID, Type: p.Type.String(), Used: p.RequiredBytes(),
-			Detail: fmt.Sprintf("%d->%d flits", ts.origCount, len(trimmed))})
+		if c.Trace != nil {
+			c.Trace.Record(trace.Event{Cycle: int64(now), Kind: trace.KindTrim, Where: c.Name,
+				PacketID: p.ID, Type: p.Type.String(), Used: p.RequiredBytes(),
+				Detail: fmt.Sprintf("%d->%d flits", ts.origCount, len(trimmed))})
+		}
 		ts.released = true
 	}
 	if ts.seen >= ts.origCount {
-		delete(c.trims, p.ID)
+		last := len(c.trims) - 1
+		c.trims[ti] = c.trims[last]
+		c.trims[last] = trimState{}
+		c.trims = c.trims[:last]
 	}
 	return true
+}
+
+// trimIndex returns the index of p's in-flight trim state, or -1.
+func (c *Controller) trimIndex(p *flit.Packet) int {
+	for i := range c.trims {
+		if c.trims[i].pkt == p {
+			return i
+		}
+	}
+	return -1
+}
+
+// queuedFor returns the flits queued for destination cluster dst.
+func (c *Controller) queuedFor(dst flit.ClusterID) int {
+	if int(dst) < len(c.perDst) {
+		return c.perDst[dst]
+	}
+	return 0
+}
+
+// partition returns the partition for key, creating it (and growing
+// the per-destination tables) the first time the key is seen.
+func (c *Controller) partition(key partKey) *partition {
+	for int(key.dst) >= len(c.perDst) {
+		c.perDst = append(c.perDst, 0)
+		for k := 0; k < int(numClasses); k++ {
+			c.partIdx = append(c.partIdx, -1)
+		}
+	}
+	slot := int(key.dst)*int(numClasses) + int(key.class)
+	if idx := c.partIdx[slot]; idx >= 0 {
+		return c.parts[idx]
+	}
+	p := &partition{key: key, q: sim.NewQueue[*flit.Flit](0, 1)}
+	c.partIdx[slot] = int32(len(c.parts))
+	c.parts = append(c.parts, p)
+	return p
 }
 
 func (c *Controller) enqueue(f *flit.Flit, now sim.Cycle) {
@@ -279,19 +324,10 @@ func (c *Controller) enqueue(f *flit.Flit, now sim.Cycle) {
 	if c.cfg.partitioned() {
 		class = classOf(f.Pkt.Type)
 	}
-	key := partKey{dst: f.Pkt.DstCluster, class: class}
-	idx, ok := c.partIdx[key]
-	if !ok {
-		idx = len(c.parts)
-		c.partIdx[key] = idx
-		c.parts = append(c.parts, &partition{
-			key: key,
-			q:   sim.NewQueue[*flit.Flit](0, 1),
-		})
-	}
+	p := c.partition(partKey{dst: f.Pkt.DstCluster, class: class})
 	f.CtlArrivedAt = now
 	f.Pkt.Span.To(obs.StageCtlQueue, now)
-	c.parts[idx].q.Push(f, now)
+	p.q.Push(f, now)
 	if c.ObsOccupancy != nil {
 		c.ObsOccupancy.Observe(now, float64(c.QueuedFlits()))
 	}
@@ -426,7 +462,9 @@ func (c *Controller) serve(p *partition, now sim.Cycle) bool {
 			p.poolDeadline = now + c.cfg.PoolingCycles
 			parent.Pkt.Span.To(obs.StagePool, now)
 			c.Net.PooledFlits.Inc()
-			c.Trace.Record(trace.FlitEvent(trace.KindPool, c.Name, now, parent))
+			if c.Trace != nil {
+				c.Trace.Record(trace.FlitEvent(trace.KindPool, c.Name, now, parent))
+			}
 			return false
 		}
 		c.eject(parent, now)
@@ -524,7 +562,9 @@ func (c *Controller) stitchInto(parent *flit.Flit, own *partition, now sim.Cycle
 				p.q.RemoveAt(i)
 				c.perDst[cand.Pkt.DstCluster]--
 				count++
-				c.Trace.Record(trace.FlitEvent(trace.KindStitch, c.Name, now, parent))
+				if c.Trace != nil {
+					c.Trace.Record(trace.FlitEvent(trace.KindStitch, c.Name, now, parent))
+				}
 				if parent.EmptyBytes() < smallestCandidateBytes {
 					return count
 				}
@@ -540,7 +580,7 @@ func (c *Controller) stitchInto(parent *flit.Flit, own *partition, now sim.Cycle
 func (c *Controller) recordEjection(f *flit.Flit, now sim.Cycle) {
 	c.Net.FlitsTotal.Inc()
 	c.Net.WireBytes.Add(int64(f.Size))
-	c.Net.Occupancy.Observe(flit.Occupancy(f).String(), 1)
+	c.Net.Occupancy.ObserveAt(int(flit.Occupancy(f)), 1)
 	if f.IsStitched() {
 		c.Net.FlitsStitched.Inc()
 		c.Net.ItemsStitched.Add(int64(len(f.Stitched)))
@@ -554,9 +594,12 @@ func (c *Controller) recordEjection(f *flit.Flit, now sim.Cycle) {
 	}
 }
 
+// countType counts one ejected flit or stitched item of type t. The
+// NetStats type and occupancy histograms register their buckets in
+// flit.Type and flit.OccupancyClass order, so the enums index them.
 func (c *Controller) countType(t flit.Type, bytes int) {
-	c.Net.FlitsByType.Observe(t.String(), 1)
-	c.Net.BytesByType.Observe(t.String(), int64(bytes))
+	c.Net.FlitsByType.ObserveAt(int(t), 1)
+	c.Net.BytesByType.ObserveAt(int(t), int64(bytes))
 	if t.IsPTW() {
 		c.Net.PTWFlits.Inc()
 	} else {

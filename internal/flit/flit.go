@@ -86,28 +86,28 @@ func (f *Flit) String() string {
 
 // Segment splits a packet into flits of the given size. The first flit
 // carries the header (and as much payload as fits); subsequent flits
-// carry payload; the final flit is padded up to the slot size.
+// carry payload; the final flit is padded up to the slot size. The
+// flits share one backing block, so segmenting costs two allocations
+// (the block and the returned slice) whatever the flit count.
 func Segment(p *Packet, flitBytes int) []*Flit {
 	if flitBytes <= StitchMetaBytes {
 		panic(fmt.Sprintf("flit: flit size %d too small", flitBytes))
 	}
-	total := p.RequiredBytes()
 	n := p.FlitCount(flitBytes)
-	flits := make([]*Flit, 0, n)
-	remaining := total
-	for i := 0; i < n; i++ {
-		used := remaining
-		if used > flitBytes {
-			used = flitBytes
-		}
+	block := make([]Flit, n)
+	flits := make([]*Flit, n)
+	remaining := p.RequiredBytes()
+	for i := range block {
+		used := min(remaining, flitBytes)
 		remaining -= used
-		flits = append(flits, &Flit{
+		block[i] = Flit{
 			Pkt:  p,
 			Seq:  i,
 			Used: used,
 			Last: i == n-1,
 			Size: flitBytes,
-		})
+		}
+		flits[i] = &block[i]
 	}
 	return flits
 }
@@ -138,46 +138,43 @@ func TrimWriteRequest(p *Packet) bool {
 }
 
 // Reassembler collects flits (including unstitched items) and reports
-// packets whose every byte has arrived. It is used by RDMA engines and
-// by the receiving-side NetCrafter controller.
+// packets whose every byte has arrived. It is used by the RDMA engines.
+// The bytes received so far ride on the packet itself, so a packet may
+// be in reassembly at only one Reassembler at a time (its destination).
 type Reassembler struct {
-	pending map[uint64]*pendingPkt
-}
-
-type pendingPkt struct {
-	pkt   *Packet
-	got   int
-	total int
+	pending int       // packets with some but not all bytes received
+	done    []*Packet // AddFlit's result, reused across calls
 }
 
 // NewReassembler returns an empty reassembler.
-func NewReassembler() *Reassembler {
-	return &Reassembler{pending: make(map[uint64]*pendingPkt)}
-}
+func NewReassembler() *Reassembler { return &Reassembler{} }
 
 // Add accounts for used bytes of packet p arriving. It returns the
 // packet when it has fully arrived, or nil.
 func (r *Reassembler) Add(p *Packet, used int) *Packet {
-	pp := r.pending[p.ID]
-	if pp == nil {
-		pp = &pendingPkt{pkt: p, total: p.RequiredBytes()}
-		r.pending[p.ID] = pp
-	}
-	pp.got += used
-	if pp.got > pp.total {
-		panic(fmt.Sprintf("flit: packet %v over-received: %d of %d bytes", p, pp.got, pp.total))
-	}
-	if pp.got == pp.total {
-		delete(r.pending, p.ID)
-		return pp.pkt
+	was := p.reasmGot
+	p.reasmGot += used
+	total := p.RequiredBytes()
+	switch {
+	case p.reasmGot > total:
+		panic(fmt.Sprintf("flit: packet %v over-received: %d of %d bytes", p, p.reasmGot, total))
+	case p.reasmGot == total:
+		p.reasmGot = 0
+		if was > 0 {
+			r.pending--
+		}
+		return p
+	case was == 0 && p.reasmGot > 0:
+		r.pending++
 	}
 	return nil
 }
 
 // AddFlit accounts for a flit and everything stitched inside it,
-// returning all packets completed by it (in arrival order).
+// returning all packets completed by it (in arrival order). The
+// returned slice is reused: it is valid until the next AddFlit call.
 func (r *Reassembler) AddFlit(f *Flit) []*Packet {
-	var done []*Packet
+	done := r.done[:0]
 	if p := r.Add(f.Pkt, f.Used); p != nil {
 		done = append(done, p)
 	}
@@ -186,8 +183,9 @@ func (r *Reassembler) AddFlit(f *Flit) []*Packet {
 			done = append(done, p)
 		}
 	}
+	r.done = done
 	return done
 }
 
 // Pending returns the number of partially received packets.
-func (r *Reassembler) Pending() int { return len(r.pending) }
+func (r *Reassembler) Pending() int { return r.pending }

@@ -150,6 +150,10 @@ type Packet struct {
 	// response, so completion needs no side lookup table and
 	// TraceID/Span propagation is structural. The wire does not see it.
 	Txn *txn.Transaction
+
+	// reasmGot counts the bytes a Reassembler has received so far; 0
+	// when the packet is not in reassembly.
+	reasmGot int
 }
 
 // headerBytes returns the header size for a packet of type t. Requests

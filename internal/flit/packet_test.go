@@ -196,3 +196,57 @@ func TestTypePredicates(t *testing.T) {
 		t.Fatal("String misbehaves")
 	}
 }
+
+// TestReassemblerAddFlitNoAllocs pins reassembly at zero allocations:
+// the per-packet byte count rides on the packet and the completed list
+// reuses one slice. A single-flit packet completes without ever
+// counting as pending.
+func TestReassemblerAddFlitNoAllocs(t *testing.T) {
+	single := Segment(&Packet{ID: 2, Type: ReadReq}, 16)[0]
+	fs := Segment(&Packet{ID: 3, Type: ReadRsp}, 16)
+	r := NewReassembler()
+	allocs := testing.AllocsPerRun(100, func() {
+		if done := r.AddFlit(single); len(done) != 1 || r.Pending() != 0 {
+			t.Fatalf("single flit: completed %v, pending %d", done, r.Pending())
+		}
+		for i, f := range fs {
+			done := r.AddFlit(f)
+			if last := i == len(fs)-1; last != (len(done) == 1) || r.Pending() != btoi(!last) {
+				t.Fatalf("flit %d: completed %v, pending %d", i, done, r.Pending())
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AddFlit allocates %.1f per packet, want 0", allocs)
+	}
+}
+
+// TestSegmentAllocatesOneBlock pins segmentation and un-stitching at
+// two allocations (the flit block and the returned slice) whatever the
+// flit count.
+func TestSegmentAllocatesOneBlock(t *testing.T) {
+	for _, typ := range []Type{ReadReq, ReadRsp} {
+		p := &Packet{Type: typ}
+		if got := testing.AllocsPerRun(100, func() { Segment(p, 8) }); got != 2 {
+			t.Errorf("%v: Segment allocates %.1f, want 2", typ, got)
+		}
+	}
+	parent := &Flit{Size: 16}
+	items := []StitchItem{{Used: 4}, {Used: 4}}
+	got := testing.AllocsPerRun(100, func() {
+		parent.Stitched = items
+		if out := Unstitch(parent); len(out) != 2 || out[1].Used != 4 || out[1].Size != 16 {
+			t.Fatalf("Unstitch = %v", out)
+		}
+	})
+	if got != 2 {
+		t.Errorf("Unstitch allocates %.1f, want 2", got)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

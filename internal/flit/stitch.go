@@ -52,20 +52,23 @@ func Stitch(parent, cand *Flit) {
 
 // Unstitch extracts the stitched items of f as standalone flits (in
 // stitch order) and clears them from f. The receiving-side controller
-// uses this before forwarding flits into the destination cluster.
+// uses this before forwarding flits into the destination cluster. Like
+// Segment, it allocates the flits as one block.
 func Unstitch(f *Flit) []*Flit {
 	if len(f.Stitched) == 0 {
 		return nil
 	}
-	out := make([]*Flit, 0, len(f.Stitched))
-	for _, it := range f.Stitched {
-		out = append(out, &Flit{
+	block := make([]Flit, len(f.Stitched))
+	out := make([]*Flit, len(f.Stitched))
+	for i, it := range f.Stitched {
+		block[i] = Flit{
 			Pkt:  it.Pkt,
 			Seq:  it.Seq,
 			Used: it.Used,
 			Last: it.Last,
 			Size: f.Size,
-		})
+		}
+		out[i] = &block[i]
 	}
 	f.Stitched = nil
 	return out

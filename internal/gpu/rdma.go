@@ -217,16 +217,8 @@ func (r *RDMA) ReadRemote(t *txn.Transaction, now sim.Cycle) {
 	interBit := uint64(0)
 	if p.CrossesClusters() {
 		interBit = 1
-		switch {
-		case bytes <= 16:
-			r.Stats.BytesNeeded.Observe("le16", 1)
-		case bytes <= 32:
-			r.Stats.BytesNeeded.Observe("le32", 1)
-		case bytes <= 48:
-			r.Stats.BytesNeeded.Observe("le48", 1)
-		default:
-			r.Stats.BytesNeeded.Observe("le64", 1)
-		}
+		// Buckets le16, le32, le48, le64 in registration order.
+		r.Stats.BytesNeeded.ObserveAt(min(max(bytes-1, 0)/16, 3), 1)
 	}
 	p.Txn = t
 	t.Span = p.Span

@@ -38,7 +38,10 @@ type Switch struct {
 	rates   []int
 	maxRate int
 	granted []int // per-tick scratch, reused across cycles
-	route   map[flit.DeviceID]int
+	// route[dev] is the output port for device dev, or -1 for "no
+	// route" (the default port applies); it grows to the highest
+	// routed DeviceID.
+	route   []int32
 	defPort int
 	rrNext  int
 	// waker is the engine handle when the switch is registered with a
@@ -58,7 +61,6 @@ func NewSwitch(name string, cfg SwitchConfig) *Switch {
 	return &Switch{
 		Name:    name,
 		cfg:     cfg,
-		route:   make(map[flit.DeviceID]int),
 		defPort: -1,
 	}
 }
@@ -106,11 +108,17 @@ func (s *Switch) SetPortRate(port, flitsPerCycle int) {
 // no-op.
 func (s *Switch) AddRoute(dev flit.DeviceID, port int) error {
 	s.mustPort(port)
-	if prev, ok := s.route[dev]; ok && prev != port {
+	if dev < 0 {
+		return fmt.Errorf("network: switch %s: negative device %d", s.Name, dev)
+	}
+	for int(dev) >= len(s.route) {
+		s.route = append(s.route, -1)
+	}
+	if prev := s.route[dev]; prev >= 0 && int(prev) != port {
 		return fmt.Errorf("network: switch %s: duplicate route for device %d (port %d, then %d)",
 			s.Name, dev, prev, port)
 	}
-	s.route[dev] = port
+	s.route[dev] = int32(port)
 	return nil
 }
 
@@ -135,8 +143,10 @@ func (s *Switch) mustPort(port int) {
 }
 
 func (s *Switch) portFor(dev flit.DeviceID) int {
-	if p, ok := s.route[dev]; ok {
-		return p
+	if uint(dev) < uint(len(s.route)) {
+		if p := s.route[dev]; p >= 0 {
+			return int(p)
+		}
 	}
 	if s.defPort >= 0 {
 		return s.defPort
@@ -179,8 +189,10 @@ func (s *Switch) Tick(now sim.Cycle) bool {
 	}
 	for pass := 0; pass < s.maxRate; pass++ {
 		progress := false
-		for k := 0; k < n; k++ {
-			i := (s.rrNext + k) % n
+		for k, i := 0, s.rrNext; k < n; k, i = k+1, i+1 {
+			if i == n {
+				i = 0
+			}
 			f, ok := s.pipes[i].Peek(now)
 			if !ok {
 				continue

@@ -8,14 +8,19 @@ package sim
 //
 // Queue is generic so that component code stays fully typed.
 type Queue[T any] struct {
-	items []queueItem[T]
-	head  int // index of the logical front within items
-	cap   int
-	delay Cycle
 	// nextReady caches the head item's visibility cycle (CycleMax when
-	// empty) so NextReady is a field read and wake recomputation after
-	// a push is O(1).
+	// empty), so CanPop, Peek and Pop decide readiness from this field
+	// alone, NextReady is a field read, and wake recomputation after a
+	// push is O(1).
 	nextReady Cycle
+	head      int // ring index of the logical front
+	n         int // items queued
+	cap       int // 0 = unbounded
+	// buf is a power-of-two ring. It doubles when full, never past the
+	// power of two covering cap for a bounded queue, and never shrinks
+	// or compacts: a pop only advances head.
+	buf   []queueItem[T]
+	delay Cycle
 	// waker, when set, re-arms the consuming ticker whenever a push
 	// makes the queue transition empty -> non-empty. Pushes onto a
 	// non-empty queue cannot lower NextReady (FIFO visibility follows
@@ -54,20 +59,20 @@ func (q *Queue[T]) SetWaker(w *Waker) { q.waker = w }
 func (q *Queue[T]) SetDepthProbe(fn func(at Cycle, depth int)) { q.probe = fn }
 
 // Len returns the number of items in the queue (ready or not).
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+func (q *Queue[T]) Len() int { return q.n }
 
 // Cap returns the queue capacity (0 = unbounded).
 func (q *Queue[T]) Cap() int { return q.cap }
 
 // Full reports whether another Push would be rejected.
-func (q *Queue[T]) Full() bool { return q.cap > 0 && q.Len() >= q.cap }
+func (q *Queue[T]) Full() bool { return q.cap > 0 && q.n >= q.cap }
 
 // Space returns how many more items fit; a very large number if unbounded.
 func (q *Queue[T]) Space() int {
 	if q.cap <= 0 {
 		return int(^uint(0) >> 1)
 	}
-	return q.cap - q.Len()
+	return q.cap - q.n
 }
 
 // Push enqueues v at time now, to become visible at now+delay. It
@@ -83,34 +88,52 @@ func (q *Queue[T]) PushAt(v T, readyAt Cycle) bool {
 	if q.Full() {
 		return false
 	}
-	if q.head == len(q.items) { // empty -> non-empty: new head
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	if q.n == 0 { // empty -> non-empty: new head
 		q.nextReady = readyAt
 		q.waker.Wake(readyAt)
 	}
-	q.items = append(q.items, queueItem[T]{v: v, readyAt: readyAt})
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = queueItem[T]{v: v, readyAt: readyAt}
+	q.n++
 	if q.probe != nil {
-		q.probe(readyAt, q.Len())
+		q.probe(readyAt, q.n)
 	}
 	return true
 }
 
-// CanPop reports whether the head item exists and is ready at time now.
-func (q *Queue[T]) CanPop(now Cycle) bool {
-	return q.Len() > 0 && q.items[q.head].readyAt <= now
+// minRing is the ring size of a queue's first allocation.
+const minRing = 4
+
+// grow doubles the full ring, unrolling it so the front lands at
+// index 0.
+func (q *Queue[T]) grow() {
+	size := 2 * len(q.buf)
+	if size < minRing {
+		size = minRing
+	}
+	buf := make([]queueItem[T], size)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
+
+// CanPop reports whether the head item exists and is ready at time now.
+func (q *Queue[T]) CanPop(now Cycle) bool { return q.nextReady <= now }
 
 // Peek returns the head item without removing it. ok is false when the
 // head is missing or not yet ready.
 func (q *Queue[T]) Peek(now Cycle) (v T, ok bool) {
-	if !q.CanPop(now) {
+	if q.nextReady > now {
 		return v, false
 	}
-	return q.items[q.head].v, true
+	return q.buf[q.head].v, true
 }
 
 // Pop removes and returns the head item if it is ready at time now.
 func (q *Queue[T]) Pop(now Cycle) (v T, ok bool) {
-	if !q.CanPop(now) {
+	if q.nextReady > now {
 		return v, false
 	}
 	return q.PopReady(), true
@@ -123,50 +146,38 @@ func (q *Queue[T]) Pop(now Cycle) (v T, ok bool) {
 // cycle (via CanPop or Peek) since the last mutation; calling it on an
 // empty queue panics.
 func (q *Queue[T]) PopReady() T {
-	v := q.items[q.head].v
-	var zero queueItem[T]
-	q.items[q.head] = zero // release references for the GC
-	q.head++
-	if q.head == len(q.items) {
+	if q.n == 0 {
+		panic("sim: PopReady on an empty queue")
+	}
+	it := &q.buf[q.head]
+	v := it.v
+	*it = queueItem[T]{} // release references for the GC
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	if q.n == 0 {
 		q.nextReady = CycleMax
 	} else {
-		q.nextReady = q.items[q.head].readyAt
+		q.nextReady = q.buf[q.head].readyAt
 	}
-	q.compact()
 	return v
-}
-
-// compact reclaims the popped prefix once it dominates the backing
-// array, keeping amortized O(1) pops without unbounded growth.
-func (q *Queue[T]) compact() {
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-		return
-	}
-	if q.head > 32 && q.head > len(q.items)/2 {
-		n := copy(q.items, q.items[q.head:])
-		// Clear the tail so released items do not leak.
-		var zero queueItem[T]
-		for i := n; i < len(q.items); i++ {
-			q.items[i] = zero
-		}
-		q.items = q.items[:n]
-		q.head = 0
-	}
 }
 
 // NextReady returns the cycle at which the head item becomes poppable,
 // or CycleMax when the queue is empty. Used for engine wake hints.
 func (q *Queue[T]) NextReady() Cycle { return q.nextReady }
 
+// slot returns the ring slot of logical index i (0 = head).
+func (q *Queue[T]) slot(i int) *queueItem[T] {
+	return &q.buf[(q.head+i)&(len(q.buf)-1)]
+}
+
 // All returns the queued values in order (ready or not). The returned
 // slice is freshly allocated; mutating it does not affect the queue.
 // Intended for inspection in tests and candidate searches.
 func (q *Queue[T]) All() []T {
-	out := make([]T, q.Len())
-	for i, it := range q.items[q.head:] {
-		out[i] = it.v
+	out := make([]T, q.n)
+	for i := range out {
+		out[i] = q.slot(i).v
 	}
 	return out
 }
@@ -174,32 +185,44 @@ func (q *Queue[T]) All() []T {
 // Get returns the item at index i (0 = head) without removing it,
 // regardless of readiness.
 func (q *Queue[T]) Get(i int) (v T, ok bool) {
-	if i < 0 || i >= q.Len() {
+	if i < 0 || i >= q.n {
 		return v, false
 	}
-	return q.items[q.head+i].v, true
+	return q.slot(i).v, true
 }
 
 // RemoveAt removes and returns the item at index i (0 = head) regardless
 // of readiness. Used by the stitch engine, which may pull candidates
-// from the middle of a partition.
+// from the middle of a partition. The shorter side of the ring shifts
+// over the gap, so removals near the head (the stitch search window)
+// cost a few moves however deep the queue is.
 func (q *Queue[T]) RemoveAt(i int) (v T, ok bool) {
-	if i < 0 || i >= q.Len() {
+	if i < 0 || i >= q.n {
 		return v, false
 	}
-	j := q.head + i
-	v = q.items[j].v
-	copy(q.items[j:], q.items[j+1:])
-	q.items = q.items[:len(q.items)-1]
-	if q.head == len(q.items) {
+	v = q.slot(i).v
+	if i < q.n/2 {
+		// Shift the items ahead of i back by one and advance the head.
+		for j := i; j > 0; j-- {
+			*q.slot(j) = *q.slot(j - 1)
+		}
+		*q.slot(0) = queueItem[T]{}
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+	} else {
+		// Shift the items behind i forward by one.
+		for j := i; j < q.n-1; j++ {
+			*q.slot(j) = *q.slot(j + 1)
+		}
+		*q.slot(q.n - 1) = queueItem[T]{}
+	}
+	q.n--
+	if q.n == 0 {
 		q.nextReady = CycleMax
 	} else if i == 0 {
-		q.nextReady = q.items[q.head].readyAt
+		q.nextReady = q.slot(0).readyAt
 	}
 	return v, true
 }
 
 // ReadyAt returns the visibility cycle of the item at index i.
-func (q *Queue[T]) ReadyAt(i int) Cycle {
-	return q.items[q.head+i].readyAt
-}
+func (q *Queue[T]) ReadyAt(i int) Cycle { return q.slot(i).readyAt }

@@ -88,38 +88,59 @@ func (s *Sampler) P99() float64 { return s.Percentile(0.99) }
 // for merging into obs aggregates.
 func (s *Sampler) Buckets() obs.LogBuckets { return s.b }
 
-// Histogram is a bucketed distribution over named categories.
+// Histogram is a bucketed distribution over named categories. Buckets
+// are numbered in registration order, so a hot path whose categories
+// are an enum registered up front can count through ObserveAt without
+// hashing a name; the name-keyed API reads the same counts.
 type Histogram struct {
-	buckets map[string]int64
-	order   []string
+	counts []int64
+	order  []string
+	index  map[string]int
 }
 
 // NewHistogram returns a histogram with the given bucket order (extra
-// buckets observed later are appended).
+// buckets observed later are appended). The i-th name is bucket i for
+// ObserveAt.
 func NewHistogram(buckets ...string) *Histogram {
-	h := &Histogram{buckets: make(map[string]int64)}
+	h := &Histogram{index: make(map[string]int, len(buckets))}
 	for _, b := range buckets {
-		h.buckets[b] = 0
-		h.order = append(h.order, b)
+		h.bucket(b)
 	}
 	return h
 }
 
-// Observe adds n to the named bucket.
-func (h *Histogram) Observe(bucket string, n int64) {
-	if _, ok := h.buckets[bucket]; !ok {
-		h.order = append(h.order, bucket)
+// bucket returns the index of the named bucket, registering it last if
+// it is new.
+func (h *Histogram) bucket(name string) int {
+	i, ok := h.index[name]
+	if !ok {
+		i = len(h.order)
+		h.index[name] = i
+		h.order = append(h.order, name)
+		h.counts = append(h.counts, 0)
 	}
-	h.buckets[bucket] += n
+	return i
 }
 
+// Observe adds n to the named bucket.
+func (h *Histogram) Observe(bucket string, n int64) { h.counts[h.bucket(bucket)] += n }
+
+// ObserveAt adds n to bucket i, numbered in registration order. It
+// panics when bucket i has not been registered.
+func (h *Histogram) ObserveAt(i int, n int64) { h.counts[i] += n }
+
 // Get returns the count in a bucket.
-func (h *Histogram) Get(bucket string) int64 { return h.buckets[bucket] }
+func (h *Histogram) Get(bucket string) int64 {
+	if i, ok := h.index[bucket]; ok {
+		return h.counts[i]
+	}
+	return 0
+}
 
 // Total returns the sum over all buckets.
 func (h *Histogram) Total() int64 {
 	var t int64
-	for _, v := range h.buckets {
+	for _, v := range h.counts {
 		t += v
 	}
 	return t
@@ -131,7 +152,7 @@ func (h *Histogram) Share(bucket string) float64 {
 	if t == 0 {
 		return 0
 	}
-	return float64(h.buckets[bucket]) / float64(t)
+	return float64(h.Get(bucket)) / float64(t)
 }
 
 // Buckets returns bucket names in observation order.
@@ -144,7 +165,7 @@ func (h *Histogram) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", name, h.buckets[name])
+		fmt.Fprintf(&b, "%s=%d", name, h.counts[i])
 	}
 	return b.String()
 }

@@ -60,6 +60,28 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+func TestHistogramObserveAtSharesNamedCounts(t *testing.T) {
+	h := NewHistogram("a", "b")
+	h.ObserveAt(1, 2)
+	h.Observe("b", 3)
+	h.ObserveAt(0, 1)
+	if h.Get("a") != 1 || h.Get("b") != 5 || h.Total() != 6 {
+		t.Fatalf("counts = %s, want a=1 b=5", h)
+	}
+	if got := h.String(); got != "a=1 b=5" {
+		t.Fatalf("String() = %q", got)
+	}
+	if h.Get("missing") != 0 || len(h.Buckets()) != 2 {
+		t.Fatal("reading an unknown bucket registered it")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ObserveAt on an unregistered bucket did not panic")
+		}
+	}()
+	h.ObserveAt(2, 1)
+}
+
 func TestGeoMean(t *testing.T) {
 	got := GeoMean([]float64{1, 4})
 	if math.Abs(got-2) > 1e-12 {

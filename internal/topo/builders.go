@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -18,8 +19,8 @@ import (
 // evenClusters splits nGPUs evenly over nClusters, building the
 // per-cluster switch and GPU attachments shared by every builder.
 func evenClusters(name string, nGPUs, nClusters, intraBW int, lat sim.Cycle) *Graph {
-	if nClusters < 1 || nGPUs < nClusters || nGPUs%nClusters != 0 {
-		panic(fmt.Sprintf("topo: cannot split %d GPUs into %d equal clusters", nGPUs, nClusters))
+	if err := splitError(nGPUs, nClusters); err != nil {
+		panic(err)
 	}
 	g := &Graph{Name: name}
 	per := nGPUs / nClusters
@@ -41,6 +42,25 @@ func evenClusters(name string, nGPUs, nClusters, intraBW int, lat sim.Cycle) *Gr
 	return g
 }
 
+// splitError reports why nGPUs cannot split evenly over nClusters
+// clusters, or nil when they can.
+func splitError(nGPUs, nClusters int) error {
+	if nClusters < 1 || nGPUs < nClusters || nGPUs%nClusters != 0 {
+		return fmt.Errorf("topo: cannot split %d GPUs into %d equal clusters", nGPUs, nClusters)
+	}
+	return nil
+}
+
+// FrontierShapeError returns the error FrontierNode panics with for a
+// shape it cannot build — nGPUs not split evenly over at least two
+// clusters — or nil. Builders fed by user input check it first.
+func FrontierShapeError(nGPUs, nClusters int) error {
+	if nClusters == 1 {
+		return errors.New("topo: FrontierNode needs at least two clusters")
+	}
+	return splitError(nGPUs, nClusters)
+}
+
 // FrontierNode is the paper's Figure-2 node generalized to nGPUs GPUs
 // split evenly over nClusters clusters: GPUs pair onto a per-cluster
 // switch by intraBW links; with two clusters the switches join by one
@@ -48,10 +68,10 @@ func evenClusters(name string, nGPUs, nClusters, intraBW int, lat sim.Cycle) *Gr
 // switch ("swx"), each uplink at interBW. The 4-GPU/2-cluster instance
 // at intraBW=8, interBW=1 is exactly the seed system.
 func FrontierNode(nGPUs, nClusters, intraBW, interBW int, lat sim.Cycle) *Graph {
-	g := evenClusters(fmt.Sprintf("frontier-%dx%d", nGPUs, nClusters), nGPUs, nClusters, intraBW, lat)
-	if nClusters == 1 {
-		panic("topo: FrontierNode needs at least two clusters")
+	if err := FrontierShapeError(nGPUs, nClusters); err != nil {
+		panic(err)
 	}
+	g := evenClusters(fmt.Sprintf("frontier-%dx%d", nGPUs, nClusters), nGPUs, nClusters, intraBW, lat)
 	if nClusters == 2 {
 		g.Links = append(g.Links, Link{A: "sw0", B: "sw1", BW: interBW, Latency: lat})
 		return g

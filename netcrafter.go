@@ -17,6 +17,7 @@
 package netcrafter
 
 import (
+	"fmt"
 	"io"
 
 	"netcrafter/internal/bench"
@@ -164,18 +165,39 @@ func TopologyPresets() []string { return topo.Presets() }
 // FrontierTopology is the paper's Figure-2 node generalized to nGPUs
 // split evenly over nClusters; bandwidths are flits/cycle (8 = 128 GB/s
 // at 16-byte flits, 1 = 16 GB/s). FrontierTopology(4, 2, 8, 1, 1) is
-// the seed system.
-func FrontierTopology(nGPUs, nClusters, intraBW, interBW int, latency Cycle) *Topology {
-	return topo.FrontierNode(nGPUs, nClusters, intraBW, interBW, latency)
+// the seed system. A shape it cannot build (GPUs that do not split
+// evenly over at least two clusters) or a bandwidth or latency out of
+// range is an error.
+func FrontierTopology(nGPUs, nClusters, intraBW, interBW int, latency Cycle) (*Topology, error) {
+	if err := topo.FrontierShapeError(nGPUs, nClusters); err != nil {
+		return nil, err
+	}
+	g := topo.FrontierNode(nGPUs, nClusters, intraBW, interBW, latency)
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // PaperTopology is the paper's node with gpus GPUs split evenly over
 // clusters clusters, its link bandwidths given in GB/s and converted to
 // flits/cycle at flitBytes per flit. PaperTopology(4, 2, 128, 16, 16)
 // is the fabric of Baseline(); a configuration that changes its flit
-// size or bandwidths rebuilds its fabric here.
-func PaperTopology(gpus, clusters, intraGBps, interGBps, flitBytes int) *Topology {
-	return cluster.PaperNode(gpus, clusters, intraGBps, interGBps, flitBytes)
+// size or bandwidths rebuilds its fabric here. A shape FrontierTopology
+// refuses, a flit size below one byte, or a bandwidth that converts to
+// more flits/cycle than a link carries is an error.
+func PaperTopology(gpus, clusters, intraGBps, interGBps, flitBytes int) (*Topology, error) {
+	if flitBytes < 1 {
+		return nil, fmt.Errorf("netcrafter: flit size %d bytes, want at least 1", flitBytes)
+	}
+	if err := topo.FrontierShapeError(gpus, clusters); err != nil {
+		return nil, err
+	}
+	g := cluster.PaperNode(gpus, clusters, intraGBps, interGBps, flitBytes)
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // TopologyTaperPoints counts a fabric's bandwidth taper points — the

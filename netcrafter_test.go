@@ -27,8 +27,20 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIConfigs(t *testing.T) {
 	// 128 and 16 GB/s are 8 and 1 flits/cycle at 16-byte flits.
-	if netcrafter.Baseline().Topo.DOT() != netcrafter.FrontierTopology(4, 2, 8, 1, 1).DOT() ||
-		netcrafter.Ideal().Topo.DOT() != netcrafter.FrontierTopology(4, 2, 8, 8, 1).DOT() {
+	base, err := netcrafter.FrontierTopology(4, 2, 8, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ideal, err := netcrafter.FrontierTopology(4, 2, 8, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := netcrafter.PaperTopology(4, 2, 128, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if netcrafter.Baseline().Topo.DOT() != base.DOT() || paper.DOT() != base.DOT() ||
+		netcrafter.Ideal().Topo.DOT() != ideal.DOT() {
 		t.Fatal("preset fabrics wrong")
 	}
 	nc := netcrafter.WithNetCrafter()
@@ -46,6 +58,37 @@ func TestPublicAPIConfigs(t *testing.T) {
 	}
 	if len(netcrafter.Experiments()) < 20 {
 		t.Fatal("experiment list wrong")
+	}
+}
+
+// TestPublicAPIRejectsBadShapes pins the facade topology builders to
+// errors, not panics, for shapes and parameters they cannot build.
+func TestPublicAPIRejectsBadShapes(t *testing.T) {
+	frontier := []struct{ gpus, clusters, intra, inter, lat int }{
+		{3, 2, 8, 1, 1}, // GPUs do not split evenly
+		{4, 1, 8, 1, 1}, // one cluster
+		{4, 0, 8, 1, 1},
+		{2, 4, 8, 1, 1}, // fewer GPUs than clusters
+		{-4, -2, 8, 1, 1},
+		{4, 2, 0, 1, 1}, // bandwidth out of range
+		{4, 2, 8, 1, 0}, // latency out of range
+	}
+	for _, c := range frontier {
+		if g, err := netcrafter.FrontierTopology(c.gpus, c.clusters, c.intra, c.inter, netcrafter.Cycle(c.lat)); err == nil || g != nil {
+			t.Errorf("FrontierTopology%v = %v, %v; want an error", c, g, err)
+		}
+	}
+	paper := []struct{ gpus, clusters, intra, inter, flit int }{
+		{3, 2, 128, 16, 16},
+		{4, 1, 128, 16, 16},
+		{4, 2, 128, 16, 0}, // flit size
+		{4, 2, 128, 16, -16},
+		{4, 2, 1 << 30, 16, 16}, // more flits/cycle than a link carries
+	}
+	for _, c := range paper {
+		if g, err := netcrafter.PaperTopology(c.gpus, c.clusters, c.intra, c.inter, c.flit); err == nil || g != nil {
+			t.Errorf("PaperTopology%v = %v, %v; want an error", c, g, err)
+		}
 	}
 }
 
